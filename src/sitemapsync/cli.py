@@ -23,6 +23,7 @@ import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+from .atomic import atomic_write_bytes
 from .codec import CodecError, serialize_document
 from .destination import (
     BaselineRequiredError,
@@ -171,9 +172,8 @@ def _write_documents(docs, out_dir: Path | None, names: list[str]) -> int:
             raise ValueError("multiple documents produced; --out DIR is required")
         sys.stdout.buffer.write(serialize_document(docs[0]))
         return EXIT_OK
-    out_dir.mkdir(parents=True, exist_ok=True)
     for doc, name in zip(docs, names):
-        (out_dir / name).write_bytes(serialize_document(doc))
+        atomic_write_bytes(out_dir / name, serialize_document(doc))
     return EXIT_OK
 
 
@@ -234,12 +234,7 @@ def cmd_changes(args) -> int:
         period = int(_opt(args.period, cfg, "source", "period", 86_400, int))
         log = ChangeLog.load(Path(args.log))
         docs = emit_changelists(log, period)
-        names = [
-            changelist_window_name(
-                doc.modified - timedelta(seconds=period - 1), period
-            )
-            for doc in docs
-        ]
+        names = [changelist_window_name(doc.modified, period) for doc in docs]
         return _write_documents(docs, out_dir, names)
     if not (args.old and args.new):
         raise ValueError("either --log FILE or both --old and --new are required")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
+from .digests import format_digests, parse_digests
 from .model import (
     CapabilityKind,
     ChangeKind,
@@ -93,13 +94,10 @@ def _parse_entry_md(md: ET.Element, uri: str) -> ResourceMetadata:
             raise CodecError("malformed_xml", f"unknown change kind {change!r} on {uri}") from None
     hash_attr = md.get("hash")
     if hash_attr is not None:
-        for token in hash_attr.split():
-            algo, sep, hexdigest = token.partition(":")
-            if not sep or not algo or not hexdigest:
-                raise CodecError("malformed_xml", f"malformed hash token {token!r} on {uri}")
-            if algo in meta.digests:
-                raise CodecError("malformed_xml", f"repeated digest algorithm {algo!r} on {uri}")
-            meta.digests[algo] = hexdigest
+        try:
+            meta.digests = parse_digests(hash_attr)
+        except ValueError as exc:
+            raise CodecError("malformed_xml", f"{exc} on {uri}") from None
     length = md.get("length")
     if length is not None:
         try:
@@ -216,8 +214,7 @@ def _entry_md_attrs(meta: ResourceMetadata) -> str:
     if meta.change is not None:
         parts.append(f'change="{meta.change.value}"')
     if meta.digests:
-        tokens = " ".join(f"{algo}:{meta.digests[algo]}" for algo in sorted(meta.digests))
-        parts.append(f'hash="{_attr(tokens)}"')
+        parts.append(f'hash="{_attr(format_digests(meta.digests))}"')
     if meta.length is not None:
         parts.append(f'length="{meta.length}"')
     if meta.mime_type is not None:

@@ -17,9 +17,10 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from datetime import datetime
 from pathlib import Path
-from urllib.parse import quote, unquote
+from urllib.parse import unquote
 
 from .atomic import atomic_write_bytes
 from .codec import parse_document
@@ -36,6 +37,7 @@ from .model import (
     format_w3c_datetime,
     parse_w3c_datetime,
 )
+from .source import uri_for_relpath
 from .transport import DigestMismatchError, TransportError, download_to, fetch
 
 logger = logging.getLogger(__name__)
@@ -169,28 +171,45 @@ def local_path_for_uri(uri: str, prefix: str) -> str:
     return "/".join(segments)
 
 
-def uri_for_local_path(rel_path: str, prefix: str) -> str:
-    return prefix + "/".join(quote(seg, safe="") for seg in rel_path.split("/"))
+def _map_paths(
+    state: DestinationState, uris: list[str]
+) -> tuple[dict[str, str], dict[str, PathMappingError]]:
+    """Local path per URI: its recorded one, else one derived under the prefix.
 
-
-def _mapping_prefix(state: DestinationState, listed_uris: list[str]) -> str:
-    # Recorded URIs participate so the prefix stays stable across runs that
-    # see only a subset of the tree (change lists).
-    return common_uri_prefix(sorted(set(listed_uris) | set(state.records)))
-
-
-def _path_for(state: DestinationState, uri: str, prefix: str) -> str:
-    rec = state.records.get(uri)
-    if rec is not None:
-        return rec.local_path
-    return local_path_for_uri(uri, prefix)
+    Recorded URIs take part in the common prefix so it stays stable across
+    runs that see only a subset of the tree (change lists). A URI whose
+    derived path is unsafe, or is recorded or already mapped for another URI,
+    gets a PathMappingError instead of a path.
+    """
+    paths = {uri: state.records[uri].local_path for uri in uris if uri in state.records}
+    unmapped: dict[str, PathMappingError] = {}
+    fresh = [uri for uri in uris if uri not in paths]
+    if not fresh:
+        return paths, unmapped
+    prefix = common_uri_prefix([*fresh, *state.records])
+    owners = {rec.local_path: uri for uri, rec in state.records.items()}
+    for uri in fresh:
+        try:
+            rel = local_path_for_uri(uri, prefix)
+        except PathMappingError as exc:
+            unmapped[uri] = exc
+            continue
+        other = owners.setdefault(rel, uri)
+        if other != uri:
+            unmapped[uri] = PathMappingError(f"URIs {other!r} and {uri!r} both map to {rel!r}")
+        else:
+            paths[uri] = rel
+    return paths, unmapped
 
 
 # --- shared helpers ----------------------------------------------------------
 
 @contextmanager
-def _store_lock(store_dir: Path):
-    """One sync run per store at a time; the flock dies with the process."""
+def _sync_run(store_dir: Path, state: DestinationState, state_path: Path | None):
+    """One sync run per store at a time; the flock dies with the process.
+
+    Once the lock is held, the state is saved however the run ends.
+    """
     store_dir.mkdir(parents=True, exist_ok=True)
     lock_path = store_dir / LOCK_FILE_NAME
     fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
@@ -201,7 +220,11 @@ def _store_lock(store_dir: Path):
             raise StoreLockedError(f"another sync run holds {lock_path}") from None
         os.ftruncate(fd, 0)
         os.write(fd, f"{os.getpid()}\n".encode())
-        yield
+        try:
+            yield
+        finally:
+            if state_path is not None:
+                save_state(state, state_path)
     finally:
         os.close(fd)
 
@@ -256,16 +279,6 @@ def _store_files(store_dir: Path):
             yield (Path(dirpath) / name).relative_to(store_dir).as_posix()
 
 
-def _prune_empty_dirs(store_dir: Path) -> None:
-    for dirpath, dirnames, filenames in os.walk(store_dir, topdown=False):
-        path = Path(dirpath)
-        if path != store_dir and not dirnames and not filenames:
-            try:
-                path.rmdir()
-            except OSError:
-                pass
-
-
 def _pick_listed_digest(entry: ResourceEntry) -> tuple[str, str] | None:
     """Strongest usable digest from a list entry: first supported algorithm."""
     for algo in sorted(entry.metadata.digests):
@@ -305,7 +318,185 @@ def _download_resource(
     raise AssertionError("unreachable")
 
 
-# --- baseline ----------------------------------------------------------------
+# --- plan ----------------------------------------------------------------------
+
+@dataclass
+class _Plan:
+    """Per-URI actions for one run: the syncs apply them, audit only reads them."""
+
+    last_sync: datetime | None  # what the store reflects once applied without a failure
+    # uri -> (local path, entry to download, lastmod to record, change kinds it counts)
+    downloads: dict[str, tuple[str, ResourceEntry, datetime, list[ChangeKind]]] = field(
+        default_factory=dict
+    )
+    # (uri whose record goes with the file, or None; local path; change kinds it counts)
+    deletes: list[tuple[str | None, str, list[ChangeKind]]] = field(default_factory=list)
+    # uri -> (local path, lastmod, "algo:hex" if hashed) of copies kept without transfer
+    keep: dict[str, tuple[str, datetime, str | None]] = field(default_factory=dict)
+    skipped: int = 0  # change entries not applied
+    stale: list[str] = field(default_factory=list)  # downloads replacing a local copy
+    unmapped: dict[str, PathMappingError] = field(default_factory=dict)
+
+
+def _compare(
+    entry: ResourceEntry, local: Path, record: StateRecord | None
+) -> tuple[str, str | None]:
+    """Judge a local copy by the strongest evidence its list entry carries.
+
+    Digest (re-hashed from the local bytes), then length, then lastmod
+    against the recorded one; otherwise presence alone ("present"). Returns
+    the verdict and the local "algo:hex" when the bytes were hashed.
+    """
+    if not local.is_file():
+        return "missing", None
+    listed = _pick_listed_digest(entry)
+    if listed is not None:
+        algo, expected_hex = listed
+        actual = hash_file(local, (algo,))[algo]
+        return ("same" if actual == expected_hex else "stale"), f"{algo}:{actual}"
+    if entry.metadata.length is not None:
+        return ("same" if local.stat().st_size == entry.metadata.length else "stale"), None
+    if entry.lastmod is not None and record is not None:
+        return ("same" if entry.lastmod == record.lastmod else "stale"), None
+    return "present", None
+
+
+def _plan_list(
+    entries: list[ResourceEntry], modified: datetime, state: DestinationState, store_dir: Path
+) -> _Plan:
+    """Download missing and stale entries, keep the same ones, and delete the
+    files and records the list does not name."""
+    paths, unmapped = _map_paths(state, [e.uri for e in entries])
+    plan = _Plan(last_sync=modified, unmapped=unmapped)
+    presence_only = False
+    for entry in entries:
+        path = paths.get(entry.uri)
+        if path is None:
+            continue
+        record = state.records.get(entry.uri)
+        verdict, digest = _compare(entry, store_dir / path, record)
+        lastmod = entry.lastmod or modified
+        if verdict in ("same", "present"):
+            presence_only |= verdict == "present"
+            plan.keep[entry.uri] = (path, lastmod, digest)
+            continue
+        if verdict == "stale":
+            plan.stale.append(entry.uri)
+        kind = ChangeKind.CREATED if record is None else ChangeKind.UPDATED
+        plan.downloads[entry.uri] = (path, entry, lastmod, [kind])
+    if presence_only:
+        logger.warning(
+            "resource list carries no digest, length or recorded lastmod for some "
+            "resources; only their presence is compared"
+        )
+    listed_paths = set(paths.values())
+    owners = {rec.local_path: uri for uri, rec in state.records.items() if uri not in paths}
+    for rel in _store_files(store_dir):
+        if rel not in listed_paths:
+            plan.deletes.append((owners.pop(rel, None), rel, [ChangeKind.DELETED]))
+    plan.deletes.extend((uri, rel, []) for rel, uri in owners.items())
+    return plan
+
+
+def _plan_changes(
+    entries: list[ResourceEntry], modified: datetime, state: DestinationState, policy: SyncPolicy
+) -> _Plan:
+    """Coalesce each URI's events after ``last_sync`` onto its final one."""
+    groups: dict[str, list[ResourceEntry]] = {}
+    for entry in entries:
+        if entry.lastmod > state.last_sync:  # earlier entries are already reflected
+            groups.setdefault(entry.uri, []).append(entry)
+    paths, unmapped = _map_paths(state, list(groups))
+    plan = _Plan(
+        last_sync=modified if groups and modified > state.last_sync else None,
+        unmapped=unmapped,
+    )
+    for uri, group in groups.items():
+        path = paths.get(uri)
+        if path is None:
+            continue
+        final = group[-1]
+        kinds = [e.metadata.change for e in group]
+        record = state.records.get(uri)
+        if final.metadata.change == ChangeKind.DELETED:
+            if policy.apply_deletes:
+                plan.deletes.append((uri, path, kinds))
+                continue
+        elif record is None or final.lastmod >= record.lastmod or policy.stale_wins:
+            plan.downloads[uri] = (path, final, final.lastmod, kinds)
+            continue
+        plan.skipped += len(group)  # delete suppressed by policy, or older than the local copy
+    return plan
+
+
+# --- apply ---------------------------------------------------------------------
+
+def _apply(
+    plan: _Plan, store_dir: Path, state: DestinationState, policy: SyncPolicy, *, timeout, backoff
+) -> SyncReport:
+    """Carry out a plan: record kept copies, delete, then download in a pool.
+
+    An unmappable URI raises before anything is touched. Each action counts
+    only once it succeeded; ``last_sync`` advances only if nothing failed.
+    """
+    for exc in plan.unmapped.values():
+        raise exc
+    report = SyncReport(skipped=plan.skipped + len(plan.keep))
+    counted: list[ChangeKind] = []
+    for uri, (path, lastmod, digest) in plan.keep.items():
+        if digest is None:  # judged without hashing: record a digest of the bytes kept
+            hexdigest = hash_file(store_dir / path, (DEFAULT_ALGORITHM,))[DEFAULT_ALGORITHM]
+            digest = f"{DEFAULT_ALGORITHM}:{hexdigest}"
+        state.records[uri] = StateRecord(path, lastmod, digest)
+    for uri, path, kinds in plan.deletes:
+        if not policy.apply_deletes:  # change plans have already skipped theirs
+            logger.warning("extraneous local file or record kept (no-delete policy): %s", path)
+            continue
+        try:
+            (store_dir / path).unlink(missing_ok=True)
+        except OSError as exc:
+            report.failures.append((uri or path, str(exc)))
+            continue
+        state.records.pop(uri, None)
+        counted += kinds
+        try:  # the lock file keeps the store root itself from being removed
+            os.removedirs((store_dir / path).parent)
+        except OSError:
+            pass
+
+    def download(uri: str):
+        path, entry, _, _ = plan.downloads[uri]
+        listed = _pick_listed_digest(entry)
+        expected = f"{listed[0]}:{listed[1]}" if policy.verify_digests and listed else None
+        return _download_resource(
+            uri, store_dir / path, store_dir, expected, timeout=timeout, backoff=backoff
+        )
+
+    # While transfers are in flight this thread only collects their results.
+    with ThreadPoolExecutor(max_workers=policy.max_parallel_transfers) as pool:
+        futures = {pool.submit(download, uri): uri for uri in plan.downloads}
+        for future in as_completed(futures):
+            uri = futures[future]
+            path, _, lastmod, kinds = plan.downloads[uri]
+            try:
+                length, digest = future.result()
+            except (TransportError, OSError) as exc:
+                report.failures.append((uri, str(exc)))
+                continue
+            state.records[uri] = StateRecord(path, lastmod, digest)
+            report.bytes_transferred += length
+            counted += kinds
+
+    report.created = counted.count(ChangeKind.CREATED)
+    report.updated = counted.count(ChangeKind.UPDATED)
+    report.deleted = counted.count(ChangeKind.DELETED)
+    report.failed = len(report.failures)
+    if report.failed == 0 and plan.last_sync is not None:
+        state.last_sync = plan.last_sync
+    return report
+
+
+# --- operations ----------------------------------------------------------------
 
 def baseline_sync(
     resource_list_uri: str,
@@ -319,119 +510,22 @@ def baseline_sync(
 ) -> SyncReport:
     """Align the store with the source's full resource list.
 
-    Resources already present with a matching digest are skipped without
-    transfer. Local files not in the list are deleted when the policy says
-    so. ``state.last_sync`` advances to the list's modified instant only if
-    nothing failed; successful transfers are recorded either way.
+    Resources already present and judged the same by the evidence the list
+    carries (see ``audit``) are skipped without transfer. Local files not in
+    the list are deleted when the policy says so. ``state.last_sync``
+    advances to the list's modified instant only if nothing failed;
+    successful transfers are recorded either way.
     """
     policy = policy or SyncPolicy()
     store_dir = Path(store_dir)
-    report = SyncReport()
-    with _store_lock(store_dir):
-        try:
-            modified, entries = _fetch_entries(
-                resource_list_uri, CapabilityKind.RESOURCELIST, timeout=timeout, backoff=backoff
-            )
-            state.source_id = resource_list_uri
+    with _sync_run(store_dir, state, state_path):
+        modified, entries = _fetch_entries(
+            resource_list_uri, CapabilityKind.RESOURCELIST, timeout=timeout, backoff=backoff
+        )
+        state.source_id = resource_list_uri
+        plan = _plan_list(entries, modified, state, store_dir)
+        return _apply(plan, store_dir, state, policy, timeout=timeout, backoff=backoff)
 
-            path_map: dict[str, str] = {}
-            if entries:
-                prefix = _mapping_prefix(state, [e.uri for e in entries])
-                for entry in entries:
-                    path_map[entry.uri] = _path_for(state, entry.uri, prefix)
-                _reject_collisions(path_map)
-
-            to_download: list[ResourceEntry] = []
-            for entry in entries:
-                rel = path_map[entry.uri]
-                local = store_dir / rel
-                lastmod = entry.lastmod or modified
-                listed = _pick_listed_digest(entry)
-                if local.is_file():
-                    if listed is not None:
-                        algo, expected_hex = listed
-                        actual = hash_file(local, (algo,))[algo]
-                        if actual == expected_hex:
-                            report.skipped += 1
-                            state.records[entry.uri] = StateRecord(
-                                rel, lastmod, f"{algo}:{actual}"
-                            )
-                            continue
-                    else:
-                        length = entry.metadata.length
-                        if length is None or local.stat().st_size == length:
-                            report.skipped += 1
-                            digest = hash_file(local, (DEFAULT_ALGORITHM,))[DEFAULT_ALGORITHM]
-                            state.records[entry.uri] = StateRecord(
-                                rel, lastmod, f"{DEFAULT_ALGORITHM}:{digest}"
-                            )
-                            continue
-                to_download.append(entry)
-
-            def work(entry: ResourceEntry):
-                rel = path_map[entry.uri]
-                expected = None
-                listed = _pick_listed_digest(entry)
-                if policy.verify_digests and listed is not None:
-                    expected = f"{listed[0]}:{listed[1]}"
-                return _download_resource(
-                    entry.uri, store_dir / rel, store_dir, expected,
-                    timeout=timeout, backoff=backoff,
-                )
-
-            with ThreadPoolExecutor(max_workers=policy.max_parallel_transfers) as pool:
-                futures = {pool.submit(work, e): e for e in to_download}
-                for future in as_completed(futures):
-                    entry = futures[future]
-                    try:
-                        length, digest = future.result()
-                    except (TransportError, OSError) as exc:
-                        report.failures.append((entry.uri, str(exc)))
-                        report.failed += 1
-                        continue
-                    was_known = entry.uri in state.records
-                    state.records[entry.uri] = StateRecord(
-                        path_map[entry.uri], entry.lastmod or modified, digest
-                    )
-                    report.bytes_transferred += length
-                    if was_known:
-                        report.updated += 1
-                    else:
-                        report.created += 1
-
-            listed_paths = set(path_map.values())
-            listed_uris = set(path_map)
-            for rel in list(_store_files(store_dir)):
-                if rel in listed_paths:
-                    continue
-                if policy.apply_deletes:
-                    (store_dir / rel).unlink(missing_ok=True)
-                    report.deleted += 1
-                else:
-                    logger.warning("extraneous local file kept (no-delete policy): %s", rel)
-            for uri in list(state.records):
-                if uri not in listed_uris and policy.apply_deletes:
-                    del state.records[uri]
-            _prune_empty_dirs(store_dir)
-
-            if report.failed == 0:
-                state.last_sync = modified
-            return report
-        finally:
-            if state_path is not None:
-                save_state(state, state_path)
-
-
-def _reject_collisions(path_map: dict[str, str]) -> None:
-    by_path: dict[str, str] = {}
-    for uri, rel in path_map.items():
-        other = by_path.get(rel)
-        if other is not None:
-            raise PathMappingError(f"URIs {other!r} and {uri!r} both map to {rel!r}")
-        by_path[rel] = uri
-
-
-# --- incremental -------------------------------------------------------------
 
 def incremental_sync(
     changelist_uri: str,
@@ -455,89 +549,13 @@ def incremental_sync(
         raise BaselineRequiredError("incremental sync requires a completed baseline")
     policy = policy or SyncPolicy()
     store_dir = Path(store_dir)
-    report = SyncReport()
-    with _store_lock(store_dir):
-        try:
-            modified, entries = _fetch_entries(
-                changelist_uri, CapabilityKind.CHANGELIST, timeout=timeout, backoff=backoff
-            )
-            pending = [e for e in entries if e.lastmod > state.last_sync]
-            if not pending:
-                return report
+    with _sync_run(store_dir, state, state_path):
+        modified, entries = _fetch_entries(
+            changelist_uri, CapabilityKind.CHANGELIST, timeout=timeout, backoff=backoff
+        )
+        plan = _plan_changes(entries, modified, state, policy)
+        return _apply(plan, store_dir, state, policy, timeout=timeout, backoff=backoff)
 
-            prefix = _mapping_prefix(state, [e.uri for e in pending])
-            groups: dict[str, list[ResourceEntry]] = {}
-            for entry in pending:
-                groups.setdefault(entry.uri, []).append(entry)
-            path_map = {uri: _path_for(state, uri, prefix) for uri in groups}
-            _reject_collisions(path_map)
-
-            def apply_group(uri: str):
-                """Returns (action, length, digest); action drives record upkeep."""
-                group = groups[uri]
-                final = group[-1]
-                rel = path_map[uri]
-                local = store_dir / rel
-                if final.metadata.change == ChangeKind.DELETED:
-                    if not policy.apply_deletes:
-                        return "suppressed", 0, None
-                    local.unlink(missing_ok=True)
-                    return "deleted", 0, None
-                record = state.records.get(uri)
-                if (
-                    record is not None
-                    and final.lastmod < record.lastmod
-                    and not policy.stale_wins
-                ):
-                    return "stale", 0, None
-                expected = None
-                listed = _pick_listed_digest(final)
-                if policy.verify_digests and listed is not None:
-                    expected = f"{listed[0]}:{listed[1]}"
-                length, digest = _download_resource(
-                    uri, local, store_dir, expected, timeout=timeout, backoff=backoff
-                )
-                return "stored", length, digest
-
-            with ThreadPoolExecutor(max_workers=policy.max_parallel_transfers) as pool:
-                futures = {pool.submit(apply_group, uri): uri for uri in groups}
-                for future in as_completed(futures):
-                    uri = futures[future]
-                    group = groups[uri]
-                    try:
-                        action, length, digest = future.result()
-                    except (TransportError, OSError, PathMappingError) as exc:
-                        report.failures.append((uri, str(exc)))
-                        report.failed += 1
-                        continue
-                    if action in ("stale", "suppressed"):
-                        report.skipped += len(group)
-                        continue
-                    final = group[-1]
-                    if action == "deleted":
-                        state.records.pop(uri, None)
-                    else:
-                        state.records[uri] = StateRecord(path_map[uri], final.lastmod, digest)
-                        report.bytes_transferred += length
-                    for entry in group:
-                        kind = entry.metadata.change
-                        if kind == ChangeKind.CREATED:
-                            report.created += 1
-                        elif kind == ChangeKind.UPDATED:
-                            report.updated += 1
-                        elif kind == ChangeKind.DELETED:
-                            report.deleted += 1
-
-            _prune_empty_dirs(store_dir)
-            if report.failed == 0 and modified > state.last_sync:
-                state.last_sync = modified
-            return report
-        finally:
-            if state_path is not None:
-                save_state(state, state_path)
-
-
-# --- audit --------------------------------------------------------------------
 
 def audit(
     resource_list_uri: str,
@@ -553,63 +571,20 @@ def audit(
     Per listed URI the strongest available evidence decides: digest
     (recomputed over local bytes), then length, then lastmod; a list without
     any metadata can only surface missing/extraneous. No resource bodies are
-    transferred and nothing is mutated.
+    transferred and nothing is mutated: this is baseline's plan, not applied.
     """
     store_dir = Path(store_dir)
-    _, entries = _fetch_entries(
+    modified, entries = _fetch_entries(
         resource_list_uri, CapabilityKind.RESOURCELIST, timeout=timeout, backoff=backoff
     )
-    report = AuditReport()
-    listed_uris = [e.uri for e in entries]
-    prefix = None
-    if listed_uris or state.records:
-        prefix = _mapping_prefix(state, listed_uris)
-
-    warned_no_evidence = False
-    checked_paths: set[str] = set()
-    for entry in entries:
-        try:
-            rel = _path_for(state, entry.uri, prefix)
-        except PathMappingError:
-            report.missing.append(entry.uri)
-            continue
-        checked_paths.add(rel)
-        local = store_dir / rel
-        if not local.is_file():
-            report.missing.append(entry.uri)
-            continue
-        listed = _pick_listed_digest(entry)
-        record = state.records.get(entry.uri)
-        if listed is not None:
-            algo, expected_hex = listed
-            if hash_file(local, (algo,))[algo] != expected_hex:
-                report.stale.append(entry.uri)
-                continue
-        elif entry.metadata.length is not None:
-            if local.stat().st_size != entry.metadata.length:
-                report.stale.append(entry.uri)
-                continue
-        elif entry.lastmod is not None and record is not None:
-            if record.lastmod != entry.lastmod:
-                report.stale.append(entry.uri)
-                continue
-        else:
-            if not warned_no_evidence:
-                logger.warning(
-                    "resource list carries no digests/length/lastmod; "
-                    "audit can only detect missing and extraneous resources"
-                )
-                warned_no_evidence = True
-        report.in_sync += 1
-
-    listed_set = set(listed_uris)
-    for uri in state.records:
-        if uri not in listed_set:
-            report.extraneous.append(uri)
-    recorded_paths = {rec.local_path for rec in state.records.values()}
-    for rel in _store_files(store_dir):
-        if rel in recorded_paths or rel in checked_paths:
-            continue
-        uri = uri_for_local_path(rel, prefix) if prefix else rel
+    plan = _plan_list(entries, modified, state, store_dir)
+    stale = set(plan.stale)
+    report = AuditReport(in_sync=len(plan.keep), stale=plan.stale)
+    report.missing = [*plan.unmapped, *(u for u in plan.downloads if u not in stale)]
+    listed = [e.uri for e in entries]
+    prefix = common_uri_prefix([*listed, *state.records]) if listed or state.records else None
+    for uri, rel, _ in plan.deletes:
+        if uri is None:
+            uri = uri_for_relpath(prefix, rel) if prefix else rel
         report.extraneous.append(uri)
     return report

@@ -15,6 +15,9 @@ _HASHLIB_NAMES = {
     "sha-512": "sha512",
 }
 
+# Hex digest length per label, so validating a listed digest is a lookup.
+HEX_LENGTHS = {label: hashlib.new(name).digest_size * 2 for label, name in _HASHLIB_NAMES.items()}
+
 DEFAULT_ALGORITHM = "md5"
 
 SUPPORTED_ALGORITHMS = frozenset(_HASHLIB_NAMES)
@@ -56,5 +59,17 @@ def parse_labelled_digest(value: str) -> tuple[str, str]:
     return algo, hexdigest
 
 
-def format_labelled_digest(algorithm: str, hexdigest: str) -> str:
-    return f"{algorithm}:{hexdigest}"
+def parse_digests(value: str) -> dict[str, str]:
+    """Parse whitespace-separated ``algo:hex`` tokens; each algorithm at most once."""
+    digests: dict[str, str] = {}
+    for token in value.split():
+        algo, hexdigest = parse_labelled_digest(token)
+        if algo in digests:
+            raise ValueError(f"repeated digest algorithm {algo!r}")
+        digests[algo] = hexdigest
+    return digests
+
+
+def format_digests(digests: dict[str, str]) -> str:
+    """Inverse of ``parse_digests``: tokens in label order."""
+    return " ".join(f"{algo}:{digests[algo]}" for algo in sorted(digests))

@@ -13,19 +13,11 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from urllib.parse import urlsplit
 
+from .digests import HEX_LENGTHS
+
 # Sitemap documents are capped at 50,000 entries; larger collections are
 # partitioned into members referenced by an index document.
 MAX_DOCUMENT_ENTRIES = 50_000
-
-# Expected hex digest length per algorithm label.
-DIGEST_HEX_LENGTHS = {
-    "md5": 32,
-    "sha-1": 40,
-    "sha-224": 56,
-    "sha-256": 64,
-    "sha-384": 96,
-    "sha-512": 128,
-}
 
 _HEX_RE = re.compile(r"^[0-9a-f]+$")
 
@@ -107,10 +99,6 @@ def as_utc_instant(dt: datetime) -> datetime:
     return dt.replace(microsecond=0)
 
 
-def utc_from_timestamp(ts: float) -> datetime:
-    return datetime.fromtimestamp(int(ts), tz=timezone.utc)
-
-
 def is_absolute_uri(uri: str) -> bool:
     parts = urlsplit(uri)
     return bool(parts.scheme) and bool(parts.netloc)
@@ -131,7 +119,7 @@ class ResourceMetadata:
                 raise ValidationError(
                     "bad_digest", f"digest for {algo!r} is not lowercase hex: {hexdigest!r}"
                 )
-            expected = DIGEST_HEX_LENGTHS.get(algo)
+            expected = HEX_LENGTHS.get(algo)
             if expected is not None and len(hexdigest) != expected:
                 raise ValidationError(
                     "bad_digest",

@@ -19,7 +19,7 @@ from urllib.parse import quote
 
 from .atomic import atomic_write_bytes
 from .codec import serialize_document
-from .digests import hash_file
+from .digests import format_digests, hash_file, parse_digests
 from .model import (
     CapabilityKind,
     ChangeKind,
@@ -273,10 +273,7 @@ class ChangeLog:
 
     @staticmethod
     def _to_line(rec: ChangeRecord) -> str:
-        digests = (
-            " ".join(f"{a}:{rec.metadata.digests[a]}" for a in sorted(rec.metadata.digests))
-            or "-"
-        )
+        digests = format_digests(rec.metadata.digests) or "-"
         length = "-" if rec.metadata.length is None else str(rec.metadata.length)
         return "\t".join(
             [format_w3c_datetime(rec.instant), rec.change.value, rec.uri, digests, length]
@@ -290,9 +287,7 @@ class ChangeLog:
         instant_s, kind_s, uri, digests_s, length_s = parts
         meta = ResourceMetadata()
         if digests_s != "-":
-            for token in digests_s.split():
-                algo, _, hexdigest = token.partition(":")
-                meta.digests[algo] = hexdigest
+            meta.digests = parse_digests(digests_s)
         if length_s != "-":
             meta.length = int(length_s)
         return ChangeRecord(parse_w3c_datetime(instant_s), uri, ChangeKind(kind_s), meta)
@@ -341,7 +336,9 @@ def emit_changelists(log: ChangeLog, period: int) -> list[SyncDocument]:
     return docs
 
 
-def changelist_window_name(window_start: datetime, period: int) -> str:
+def changelist_window_name(instant: datetime, period: int) -> str:
+    """File name of the change-list window of ``period`` seconds holding ``instant``."""
+    window_start = _window_start(instant, period)
     if period == DAY_SECONDS:
         return f"changelist-{window_start:%Y-%m-%d}.xml"
     return f"changelist-{window_start:%Y%m%dT%H%M%SZ}.xml"
@@ -392,8 +389,7 @@ def publish_changelists(
         if _window_start(doc.modified, period) + timedelta(seconds=period) <= now
     ]
     for doc in closed:
-        name = changelist_window_name(_window_start(doc.modified, period), period)
-        target = web_root / name
+        target = web_root / changelist_window_name(doc.modified, period)
         atomic_write_bytes(target, serialize_document(doc))
         written.append(target)
     if closed:

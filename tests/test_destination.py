@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from sitemapsync import cli
 from sitemapsync.codec import serialize_document
 from sitemapsync.destination import (
+    STATE_FILE_NAME,
     BaselineRequiredError,
     PathMappingError,
     StateError,
@@ -267,6 +269,28 @@ class TestBaseline:
         )
         assert report.created == 2 and report.failed == 0
         assert read_tree(store) == read_tree(res)
+
+    def test_lastmod_only_list_updates_changed_resource(self, site, tmp_path):
+        """Baseline judges a local copy by the same evidence audit uses."""
+        web, res, handle, res_base = site
+        write_tree(res, {"a.txt": b"old"})
+
+        def publish_lastmod_only(lastmod):
+            entry = ResourceEntry(res_base + "a.txt", lastmod)
+            doc = SyncDocument(CapabilityKind.RESOURCELIST, lastmod, [entry])
+            (web / "resourcelist.xml").write_bytes(serialize_document(doc))
+
+        publish_lastmod_only(T0)
+        url = handle.url + "resourcelist.xml"
+        store = tmp_path / "store"
+        state = load_state(store / "state.json")
+        baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        (res / "a.txt").write_bytes(b"new!")
+        publish_lastmod_only(T0 + timedelta(hours=1))
+        report = baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        assert (report.updated, report.skipped, report.failed) == (1, 0, 0)
+        assert (store / "a.txt").read_bytes() == b"new!"
+        assert audit(url, store, state, backoff=FAST_BACKOFF).clean
 
     def test_store_locked(self, site, tmp_path):
         web, res, handle, res_base = site
@@ -569,6 +593,36 @@ class TestIncremental:
         )
         assert report.failed == 0, report.failures
         assert read_tree(store) == read_tree(res)
+
+    def test_created_uri_taking_a_recorded_path_is_rejected(self, site, tmp_path):
+        """A later, shorter prefix must not map a new URI onto a stored file."""
+        web, res, handle, res_base = site
+        write_tree(res, {"d0/a.dat": b"first"})
+        set_tree_mtimes(res, T_BASE)
+        publish_list(web, res, res_base)
+        store = tmp_path / "store"
+        state_path = store / STATE_FILE_NAME
+        state = load_state(state_path)
+        baseline_sync(
+            handle.url + "resourcelist.xml", store, state, state_path=state_path,
+            backoff=FAST_BACKOFF,
+        )
+        assert state.records[res_base + "d0/a.dat"].local_path == "a.dat"
+
+        write_tree(res, {"a.dat": b"second"})
+        t1 = T0 + timedelta(hours=1)
+        doc = SyncDocument(
+            CapabilityKind.CHANGELIST,
+            t1,
+            [ResourceEntry(res_base + "a.dat", t1, ResourceMetadata(change=ChangeKind.CREATED))],
+        )
+        serve_changelist(web, doc)
+        url = handle.url + "changelist.xml"
+        with pytest.raises(PathMappingError):
+            incremental_sync(url, store, state, state_path=state_path, backoff=FAST_BACKOFF)
+        assert cli.main(["sync", "--source", url, "--store", str(store)]) == cli.EXIT_ERROR
+        assert (store / "a.dat").read_bytes() == b"first"
+        assert load_state(state_path).records.keys() == {res_base + "d0/a.dat"}
 
     def test_deletes_suppressed_by_policy(self, site, tmp_path):
         web, res, handle, res_base, store, state = self._baselined(

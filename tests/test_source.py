@@ -273,6 +273,12 @@ class TestChangeLog:
         assert loaded.records[0].metadata.digests == {"md5": "0" * 32}
         assert loaded.records[1].metadata.digests == {}
 
+    def test_digest_without_label_rejected_on_load(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_text(f"2013-01-01T12:00:07Z\tupdated\t{BASE}a\tmd5\t1\n")
+        with pytest.raises(ValueError):
+            ChangeLog.load(path)
+
     def test_line_format(self, tmp_path):
         log = ChangeLog()
         log.append(
