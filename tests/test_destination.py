@@ -594,6 +594,28 @@ class TestIncremental:
         assert report.failed == 0, report.failures
         assert read_tree(store) == read_tree(res)
 
+    def test_delete_prunes_emptied_directories(self, site, tmp_path):
+        web, res, handle, res_base, store, state = self._baselined(
+            site, tmp_path, {"keep.bin": b"k", "p/q/gone.bin": b"g"}
+        )
+        t1 = T0 + timedelta(hours=1)
+        doc = SyncDocument(
+            CapabilityKind.CHANGELIST,
+            t1,
+            [
+                ResourceEntry(
+                    res_base + "p/q/gone.bin", t1, ResourceMetadata(change=ChangeKind.DELETED)
+                )
+            ],
+        )
+        serve_changelist(web, doc)
+        report = incremental_sync(
+            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
+        )
+        assert report.deleted == 1
+        assert not (store / "p").exists()
+        assert (store / "keep.bin").read_bytes() == b"k"
+
     def test_created_uri_taking_a_recorded_path_is_rejected(self, site, tmp_path):
         """A later, shorter prefix must not map a new URI onto a stored file."""
         web, res, handle, res_base = site
