@@ -23,7 +23,6 @@ import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .atomic import atomic_write_bytes
 from .codec import CodecError, serialize_document
 from .destination import (
     BaselineRequiredError,
@@ -47,6 +46,7 @@ from .model import (
 )
 from .simulator import SIM_EPOCH, SimConfig, run as run_simulation, publish as publish_simulation
 from .source import (
+    CURRENT_CHANGELIST_NAME,
     ChangeLog,
     SourceConfig,
     changelist_window_name,
@@ -54,8 +54,10 @@ from .source import (
     emit_changelists,
     publish_resource_list,
     scan,
+    web_root_uri,
+    write_documents,
 )
-from .transport import TransportError, fetch, serve
+from .transport import TransportError, serve
 from . import codec
 
 EXIT_OK = 0
@@ -171,9 +173,8 @@ def _write_documents(docs, out_dir: Path | None, names: list[str]) -> int:
         if len(docs) != 1:
             raise ValueError("multiple documents produced; --out DIR is required")
         sys.stdout.buffer.write(serialize_document(docs[0]))
-        return EXIT_OK
-    for doc, name in zip(docs, names):
-        atomic_write_bytes(out_dir / name, serialize_document(doc))
+    else:
+        write_documents(docs, names, out_dir)
     return EXIT_OK
 
 
@@ -184,9 +185,8 @@ def cmd_list(args) -> int:
     config = _source_config(args, cfg)
     inv = scan(config)
     out_dir = Path(args.out) if args.out else Path(".")
-    written = publish_resource_list(
-        inv, datetime.now(timezone.utc), out_dir, args.list_base_uri
-    )
+    list_base_uri = args.list_base_uri or web_root_uri(config.root_dir, config.base_uri, out_dir)
+    written = publish_resource_list(inv, datetime.now(timezone.utc), out_dir, list_base_uri)
     logger.info("wrote %s", ", ".join(str(p) for p in written))
     print(len(inv.items))
     return EXIT_OK
@@ -240,7 +240,7 @@ def cmd_changes(args) -> int:
         raise ValueError("either --log FILE or both --old and --new are required")
     old, new = _snapshot_inventories(args, args.old, args.new)
     doc = diff_inventories(old, new)
-    return _write_documents([doc], out_dir, ["changelist.xml"])
+    return _write_documents([doc], out_dir, [CURRENT_CHANGELIST_NAME])
 
 
 def cmd_baseline(args) -> int:
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digests", help="comma-separated digest algorithms (default md5)")
     p.add_argument("--exclude", help="comma-separated glob patterns to skip")
     p.add_argument("--list-base-uri", dest="list_base_uri",
-                   help="URI prefix for partitioned list members")
+                   help="URI prefix for partitioned list members (default: --out's URL)")
     p.set_defaults(func=cmd_list)
 
     p = sub.add_parser("changes", parents=[common],

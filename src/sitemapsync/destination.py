@@ -298,24 +298,16 @@ def _download_resource(
     for attempt in range(attempts):
         fd, tmp = tempfile.mkstemp(dir=store_dir, prefix=_INFRA_PREFIX + ".tmp-")
         os.close(fd)
-        tmp_path = Path(tmp)
         try:
-            length, digest = download_to(
-                uri, tmp_path, expected, timeout=timeout, backoff=backoff
-            )
+            length, digest = download_to(uri, tmp, expected, timeout=timeout, backoff=backoff)
         except DigestMismatchError:
-            tmp_path.unlink(missing_ok=True)
-            if attempt + 1 < attempts:
-                logger.warning("digest mismatch for %s, retrying once", uri)
-                continue
-            raise
-        except BaseException:
-            tmp_path.unlink(missing_ok=True)
-            raise
+            if attempt + 1 == attempts:
+                raise
+            logger.warning("digest mismatch for %s, retrying once", uri)
+            continue
         final_path.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(tmp_path, final_path)
+        os.replace(tmp, final_path)
         return length, digest
-    raise AssertionError("unreachable")
 
 
 # --- plan ----------------------------------------------------------------------

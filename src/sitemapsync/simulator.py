@@ -31,6 +31,7 @@ from .source import (
     publish_resource_list,
     scan,
     uri_for_relpath,
+    web_root_uri,
 )
 
 # Fixed virtual-clock anchor; identical seeds then yield identical logs.
@@ -196,17 +197,9 @@ def run(
     return sim.run_to_completion()
 
 
-def snapshot(
-    sim_root: Path,
-    base_uri: str,
-    algorithms: tuple[str, ...] = ("md5",),
-    taken_at: datetime | None = None,
-) -> Inventory:
-    """Inventory of the simulated tree (delegates to the source scanner)."""
-    return scan(
-        SourceConfig(root_dir=Path(sim_root), base_uri=base_uri, digest_algorithms=algorithms),
-        taken_at=taken_at,
-    )
+def snapshot(sim_root: Path, base_uri: str, taken_at: datetime | None = None) -> Inventory:
+    """Inventory of the simulated tree, hashed with md5 as the event log is."""
+    return scan(SourceConfig(root_dir=Path(sim_root), base_uri=base_uri), taken_at=taken_at)
 
 
 def publish(
@@ -216,18 +209,19 @@ def publish(
     log: ChangeLog,
     period: int,
     now: datetime,
-    list_base_uri: str | None = None,
-    algorithms: tuple[str, ...] = ("md5",),
     list_modified: datetime | None = None,
 ) -> list[Path]:
     """Write the current resource list and change lists into ``web_root``.
 
     ``list_modified`` overrides the resource list's modified instant when the
     snapshot represents an earlier state than ``now`` (which only controls
-    which change-list windows count as closed).
+    which change-list windows count as closed). Members of a partitioned
+    list are addressed under the web root's URL when ``sim_root`` lies in
+    ``web_root`` and ``base_uri`` ends with its relative path.
     """
-    inv = snapshot(sim_root, base_uri, algorithms, taken_at=now)
+    inv = snapshot(sim_root, base_uri, taken_at=now)
     modified = as_utc_instant(list_modified if list_modified is not None else now)
-    written = publish_resource_list(inv, modified, Path(web_root), list_base_uri)
-    written += publish_changelists(log, period, Path(web_root), now)
+    list_base_uri = web_root_uri(sim_root, base_uri, web_root)
+    written = publish_resource_list(inv, modified, web_root, list_base_uri)
+    written += publish_changelists(log, period, web_root, now)
     return written

@@ -1,10 +1,10 @@
 """Source-side engine: tree scanning, list generation, diffing, change logging.
 
 The source publishes its view under a web root with fixed names:
-``resourcelist.xml`` (or ``resourcelist-index.xml`` plus
-``resourcelist-N.xml`` members when partitioned), one
-``changelist-<window>.xml`` per closed window, and ``changelist.xml``
-mirroring the newest closed window.
+``resourcelist.xml`` (the list itself or, when partitioned, the index of
+its ``resourcelist-N.xml`` members), one ``changelist-<window>.xml`` per
+closed window, and ``changelist.xml`` mirroring the newest closed window.
+``write_documents`` writes every one of them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 RESOURCELIST_NAME = "resourcelist.xml"
-RESOURCELIST_INDEX_NAME = "resourcelist-index.xml"
 CURRENT_CHANGELIST_NAME = "changelist.xml"
 
 DAY_SECONDS = 86_400
@@ -83,6 +82,21 @@ class SourceConfig:
 def uri_for_relpath(base_uri: str, relpath: str) -> str:
     """Map a slash-separated relative path to a URI, percent-encoding each segment."""
     return base_uri + "/".join(quote(seg, safe="") for seg in relpath.split("/"))
+
+
+def web_root_uri(root_dir: Path, base_uri: str, web_root: Path) -> str | None:
+    """URL of ``web_root``, derived from the URI its resources live under.
+
+    Defined when ``root_dir`` lies inside ``web_root`` and ``base_uri`` ends
+    with that relative path; otherwise None.
+    """
+    try:
+        rel = Path(root_dir).resolve().relative_to(Path(web_root).resolve())
+    except ValueError:
+        return None
+    suffix = "".join(quote(seg, safe="") + "/" for seg in rel.parts)
+    head = base_uri[: len(base_uri) - len(suffix)]
+    return head if base_uri.endswith(suffix) and head.endswith("/") else None
 
 
 def mime_type_for(name: str) -> str:
@@ -163,14 +177,12 @@ def generate_resource_list(
     if len(entries) <= MAX_DOCUMENT_ENTRIES:
         return [SyncDocument(CapabilityKind.RESOURCELIST, modified, entries)]
 
-    if list_base_uri is None:
-        list_base_uri = inv.base_uri
     members: list[SyncDocument] = []
     index_entries: list[ResourceEntry] = []
     for start in range(0, len(entries), MAX_DOCUMENT_ENTRIES):
         chunk = entries[start : start + MAX_DOCUMENT_ENTRIES]
         members.append(SyncDocument(CapabilityKind.RESOURCELIST, modified, chunk))
-        member_uri = list_base_uri + member_list_name(len(members))
+        member_uri = (list_base_uri or inv.base_uri) + member_list_name(len(members))
         index_entries.append(ResourceEntry(uri=member_uri, lastmod=modified))
     index = SyncDocument(CapabilityKind.RESOURCELIST_INDEX, modified, index_entries)
     return members + [index]
@@ -344,29 +356,32 @@ def changelist_window_name(instant: datetime, period: int) -> str:
     return f"changelist-{window_start:%Y%m%dT%H%M%SZ}.xml"
 
 
+def write_documents(docs: list[SyncDocument], names: list[str], out_dir: Path) -> list[Path]:
+    """Write each document atomically to ``out_dir / name``, in order."""
+    written: list[Path] = []
+    for doc, name in zip(docs, names, strict=True):
+        target = Path(out_dir) / name
+        atomic_write_bytes(target, serialize_document(doc))
+        written.append(target)
+    return written
+
+
 def publish_resource_list(
     inv: Inventory,
     modified: datetime,
     web_root: Path,
     list_base_uri: str | None = None,
 ) -> list[Path]:
-    """Write the resource list (and index, when partitioned) under web_root."""
-    web_root = Path(web_root)
+    """Write the resource list under web_root at ``resourcelist.xml``.
+
+    A partitioned list writes its ``resourcelist-N.xml`` members first and
+    then their index at ``resourcelist.xml``, so the entry URI always holds
+    the current list. Members left over from a larger list stay on disk,
+    unreferenced.
+    """
     docs = generate_resource_list(inv, modified, list_base_uri)
-    written: list[Path] = []
-    if len(docs) == 1:
-        target = web_root / RESOURCELIST_NAME
-        atomic_write_bytes(target, serialize_document(docs[0]))
-        written.append(target)
-        return written
-    for i, member in enumerate(docs[:-1], start=1):
-        target = web_root / member_list_name(i)
-        atomic_write_bytes(target, serialize_document(member))
-        written.append(target)
-    target = web_root / RESOURCELIST_INDEX_NAME
-    atomic_write_bytes(target, serialize_document(docs[-1]))
-    written.append(target)
-    return written
+    names = [member_list_name(i) for i in range(1, len(docs))] + [RESOURCELIST_NAME]
+    return write_documents(docs, names, web_root)
 
 
 def publish_changelists(
@@ -380,27 +395,14 @@ def publish_changelists(
     ``changelist.xml`` is an empty change list dated just before the open
     window, which makes applying it a no-op.
     """
-    web_root = Path(web_root)
     now = as_utc_instant(now)
-    written: list[Path] = []
     closed = [
         doc
         for doc in emit_changelists(log, period)
         if _window_start(doc.modified, period) + timedelta(seconds=period) <= now
     ]
-    for doc in closed:
-        target = web_root / changelist_window_name(doc.modified, period)
-        atomic_write_bytes(target, serialize_document(doc))
-        written.append(target)
-    if closed:
-        current = closed[-1]
-    else:
-        current = SyncDocument(
-            CapabilityKind.CHANGELIST,
-            modified=_window_start(now, period) - timedelta(seconds=1),
-            entries=[],
-        )
-    target = web_root / CURRENT_CHANGELIST_NAME
-    atomic_write_bytes(target, serialize_document(current))
-    written.append(target)
-    return written
+    current = closed[-1] if closed else SyncDocument(
+        CapabilityKind.CHANGELIST, _window_start(now, period) - timedelta(seconds=1), []
+    )
+    names = [changelist_window_name(doc.modified, period) for doc in closed]
+    return write_documents(closed + [current], names + [CURRENT_CHANGELIST_NAME], web_root)

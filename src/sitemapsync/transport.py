@@ -32,6 +32,7 @@ DEFAULT_TIMEOUT = 30.0
 DEFAULT_BACKOFF = (1.0, 2.0)  # seconds to sleep before retry 1, retry 2
 MAX_REDIRECTS = 5
 MAX_DOCUMENT_BYTES = 50 * 1024 * 1024
+SERVE_POLL_INTERVAL = 0.05  # seconds; bounds how long ServerHandle.stop() waits
 
 _CHUNK = 64 * 1024
 
@@ -139,7 +140,7 @@ def fetch(
             )
         if resp.status_code >= 400:
             raise TransportError(f"HTTP {resp.status_code} fetching {uri}", resp.status_code)
-        body = b""
+        body = bytearray()
         for chunk in resp.iter_content(_CHUNK):
             body += chunk
             if len(body) > max_bytes:
@@ -152,7 +153,7 @@ def fetch(
                 last_modified = None
         return FetchResult(
             status=resp.status_code,
-            body=body,
+            body=bytes(body),
             etag=resp.headers.get("ETag"),
             last_modified=last_modified,
         )
@@ -173,14 +174,14 @@ def download_to(
     temp file is removed; the caller owns the final rename.
     """
     temp_path = Path(temp_path)
-    if expected_digest is not None:
-        algo, expected_hex = parse_labelled_digest(expected_digest)
-    else:
-        algo, expected_hex = DEFAULT_ALGORITHM, None
-    hasher = new_hasher(algo)
-    length = 0
-    resp = _get_with_retries(uri, {}, stream=True, timeout=timeout, backoff=backoff)
     try:
+        if expected_digest is not None:
+            algo, expected_hex = parse_labelled_digest(expected_digest)
+        else:
+            algo, expected_hex = DEFAULT_ALGORITHM, None
+        hasher = new_hasher(algo)
+        length = 0
+        resp = _get_with_retries(uri, {}, stream=True, timeout=timeout, backoff=backoff)
         with resp:
             if resp.status_code >= 400:
                 raise TransportError(f"HTTP {resp.status_code} fetching {uri}", resp.status_code)
@@ -349,7 +350,8 @@ def serve(
     handler = type(cls.__name__, (cls,), {"root_dir": root_dir})
     server = _QuietHTTPServer(address, handler)
     server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, name="sitemapsync-serve", daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(SERVE_POLL_INTERVAL,),
+                              name="sitemapsync-serve", daemon=True)
     thread.start()
     logger.info("serving %s at http://%s:%s/", root_dir, *server.server_address[:2])
     return ServerHandle(server=server, thread=thread)

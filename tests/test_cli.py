@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 import requests
 
-from sitemapsync import cli
+from sitemapsync import cli, source
 from sitemapsync.codec import parse_document
+from sitemapsync.model import CapabilityKind
 
 from conftest import assert_trees_equal, read_tree, write_tree
 
@@ -65,6 +66,22 @@ class TestListCommand:
         assert capsys.readouterr().out.strip() == "2"
         doc = parse_document((out / "resourcelist.xml").read_bytes())
         assert [e.uri for e in doc.entries] == ["http://e.com/a.txt", "http://e.com/b/c.txt"]
+
+    def test_partitioned_members_addressed_under_out_url(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(source, "MAX_DOCUMENT_ENTRIES", 2)
+        out = tmp_path / "out"
+        write_tree(out / "res", {"a": b"1", "b": b"2", "c": b"3"})
+        rc = run_cli(
+            ["list", "--root", out / "res", "--base-uri", "http://e.com/site/res/", "--out", out]
+        )
+        assert rc == 0
+        index = parse_document((out / "resourcelist.xml").read_bytes())
+        assert index.capability == CapabilityKind.RESOURCELIST_INDEX
+        assert [e.uri for e in index.entries] == [
+            "http://e.com/site/resourcelist-1.xml",
+            "http://e.com/site/resourcelist-2.xml",
+        ]
+        assert (out / "resourcelist-2.xml").exists()
 
 
 class TestChangesCommand:

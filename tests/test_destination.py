@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from sitemapsync import cli
-from sitemapsync.codec import serialize_document
+from sitemapsync import cli, simulator, source
+from sitemapsync.codec import parse_document, serialize_document
 from sitemapsync.destination import (
     STATE_FILE_NAME,
     BaselineRequiredError,
@@ -32,10 +32,11 @@ from sitemapsync.model import (
     StateRecord,
     SyncDocument,
 )
-from sitemapsync.source import SourceConfig, publish_resource_list, scan
+from sitemapsync.simulator import SimConfig, SourceSimulator
+from sitemapsync.source import ChangeLog, SourceConfig, publish_resource_list, scan
 from sitemapsync.digests import hash_file
 
-from conftest import FAST_BACKOFF, read_tree, set_tree_mtimes, write_tree
+from conftest import FAST_BACKOFF, assert_trees_equal, read_tree, set_tree_mtimes, write_tree
 
 UTC = timezone.utc
 T_BASE = datetime(2013, 1, 1, tzinfo=UTC)  # mtime of freshly written fixtures
@@ -269,6 +270,40 @@ class TestBaseline:
         )
         assert report.created == 2 and report.failed == 0
         assert read_tree(store) == read_tree(res)
+
+    def test_partitioned_simulated_source_is_mirrored(self, site, tmp_path, monkeypatch):
+        """resourcelist.xml is the index, and its members resolve under the web root."""
+        monkeypatch.setattr(source, "MAX_DOCUMENT_ENTRIES", 2)
+        web, res, handle, res_base = site
+        sim = SourceSimulator(SimConfig(seed=1, n_initial=5, event_rate=0), res, res_base, T0)
+        simulator.publish(res, web, res_base, sim.log, 10, now=T0)
+        list_url = handle.url + "resourcelist.xml"
+        entry = parse_document((web / "resourcelist.xml").read_bytes())
+        assert entry.capability == CapabilityKind.RESOURCELIST_INDEX
+        assert not (web / "resourcelist-index.xml").exists()
+        store = tmp_path / "store"
+        state = load_state(store / "state.json")
+        report = baseline_sync(list_url, store, state, backoff=FAST_BACKOFF)
+        assert report.created == 5 and report.failed == 0
+        assert audit(list_url, store, state, backoff=FAST_BACKOFF).clean
+        assert_trees_equal(res, store)
+
+    def test_source_grown_past_cap_and_shrunk_back_is_mirrored(self, site, tmp_path, monkeypatch):
+        """The entry list never goes stale when the source crosses the cap either way."""
+        monkeypatch.setattr(source, "MAX_DOCUMENT_ENTRIES", 4)
+        web, res, handle, res_base = site
+        list_url = handle.url + "resourcelist.xml"
+        store = tmp_path / "store"
+        state = load_state(store / "state.json")
+        for names in ("abc", "abcdef", "be"):
+            for path in res.iterdir():
+                path.unlink()
+            write_tree(res, {n: f"{n}{len(names)}".encode() for n in names})
+            simulator.publish(res, web, res_base, ChangeLog(), 10, now=T0)
+            report = baseline_sync(list_url, store, state, backoff=FAST_BACKOFF)
+            assert report.failed == 0
+            assert audit(list_url, store, state, backoff=FAST_BACKOFF).clean
+            assert_trees_equal(res, store)
 
     def test_lastmod_only_list_updates_changed_resource(self, site, tmp_path):
         """Baseline judges a local copy by the same evidence audit uses."""

@@ -1,0 +1,52 @@
+"""Every name a module of the package imports is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sitemapsync"
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name the module never references.
+
+    A name counts as used when it is loaded anywhere in the module (an
+    attribute chain such as ``os.path.join`` uses ``os``) or listed in
+    ``__all__``. ``from __future__`` imports are skipped.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_detects_unused_and_spares_used_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys\n"
+        "from json import dumps, loads as load_json\n"
+        "from re import compile\n"
+        "__all__ = ['compile']\n"
+        "print(os.path.join('a', 'b'), dumps({}))\n"
+    )
+    assert unused_imports(source) == [(3, "sys"), (4, "load_json")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

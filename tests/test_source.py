@@ -22,6 +22,7 @@ from sitemapsync.source import (
     generate_resource_list,
     publish_changelists,
     scan,
+    web_root_uri,
 )
 from sitemapsync.codec import parse_document
 
@@ -86,6 +87,22 @@ class TestScan:
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             scan(_config(tmp_path / "nope"))
+
+
+@pytest.mark.parametrize(
+    "rel, base_uri, expected",
+    [
+        ("res", "http://e.com/site/res/", "http://e.com/site/"),
+        ("", "http://e.com/site/", "http://e.com/site/"),
+        ("a b/c", "http://e.com/a%20b/c/", "http://e.com/"),
+        ("res", "http://e.com/xres/", None),  # suffix must start a path segment
+        ("res", "http://e.com/other/", None),
+        ("../res", "http://e.com/res/", None),  # resources outside the web root
+    ],
+)
+def test_web_root_uri(tmp_path, rel, base_uri, expected):
+    web = tmp_path / "web"
+    assert web_root_uri(web / rel, base_uri, web) == expected
 
 
 def _synthetic_inventory(n: int) -> Inventory:

@@ -1,4 +1,5 @@
 import http.client
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -8,6 +9,7 @@ import requests
 
 from sitemapsync.codec import parse_document
 from sitemapsync.transport import (
+    SERVE_POLL_INTERVAL,
     DigestMismatchError,
     TransportError,
     download_to,
@@ -57,7 +59,9 @@ def scripted_server():
     def start(script, body=b"abc"):
         handler = type("Scripted", (ScriptedHandler,), {"script": list(script), "body": body, "hits": 0})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": SERVE_POLL_INTERVAL}, daemon=True
+        )
         thread.start()
         servers.append((server, thread))
         return f"http://127.0.0.1:{server.server_address[1]}/x", handler
@@ -202,6 +206,16 @@ class TestDownloadTo:
                 handle.url + "f.bin", temp, expected_digest="md5:" + "0" * 32,
                 backoff=FAST_BACKOFF,
             )
+        assert not temp.exists()
+
+    def test_refused_connection_removes_temp_file(self, tmp_path):
+        with socket.socket() as sock:  # a port that was just free and is now closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        temp = tmp_path / "dl.part"
+        temp.write_bytes(b"")  # callers create the temp file before the download
+        with pytest.raises(TransportError):
+            download_to(f"http://127.0.0.1:{port}/f.bin", temp, backoff=FAST_BACKOFF)
         assert not temp.exists()
 
     def test_zero_byte_resource(self, tmp_path, http_server):
