@@ -498,7 +498,7 @@ def baseline_sync(
     *,
     state_path: Path | None = None,
     timeout: float = 30.0,
-    backoff: tuple[float, ...] = (1.0, 2.0),
+    backoff: tuple[float, ...] | None = None,
 ) -> SyncReport:
     """Align the store with the source's full resource list.
 
@@ -527,7 +527,7 @@ def incremental_sync(
     *,
     state_path: Path | None = None,
     timeout: float = 30.0,
-    backoff: tuple[float, ...] = (1.0, 2.0),
+    backoff: tuple[float, ...] | None = None,
 ) -> SyncReport:
     """Apply a change list: download created/updated entries, remove deleted.
 
@@ -556,7 +556,7 @@ def audit(
     policy: SyncPolicy | None = None,
     *,
     timeout: float = 30.0,
-    backoff: tuple[float, ...] = (1.0, 2.0),
+    backoff: tuple[float, ...] | None = None,
 ) -> AuditReport:
     """Read-only comparison of the store against the source's resource list.
 

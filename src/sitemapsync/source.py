@@ -4,7 +4,8 @@ The source publishes its view under a web root with fixed names:
 ``resourcelist.xml`` (the list itself or, when partitioned, the index of
 its ``resourcelist-N.xml`` members), one ``changelist-<window>.xml`` per
 closed window, and ``changelist.xml`` mirroring the newest closed window.
-``write_documents`` writes every one of them.
+``write_documents`` writes every one of them. A closed window's file is
+written once (see ``publish_changelists``), so a web root belongs to one log.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import fnmatch
 import logging
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from pathlib import Path
 from urllib.parse import quote
 
@@ -100,12 +103,37 @@ def web_root_uri(root_dir: Path, base_uri: str, web_root: Path) -> str | None:
 
 
 def mime_type_for(name: str) -> str:
-    return _MIME_MAP.get(Path(name).suffix.lower(), _MIME_FALLBACK)
+    # The suffix as ``PurePath(name).suffix`` defines it, without building a path.
+    dot = name.rfind(".")
+    suffix = name[dot:].lower() if 0 < dot < len(name) - 1 else ""
+    return _MIME_MAP.get(suffix, _MIME_FALLBACK)
+
+
+def _regular_files(root: str):
+    """Yield ``(path, relative POSIX path)`` for each regular file under ``root``.
+
+    Symlinks, to files or to directories, are neither listed nor followed.
+    A directory that cannot be listed is skipped, as ``os.walk`` skips it.
+    """
+    pending = [(root, "")]
+    while pending:
+        dirpath, prefix = pending.pop()
+        try:
+            with os.scandir(dirpath) as it:
+                children = list(it)
+        except OSError:
+            continue
+        for child in children:
+            if child.is_dir(follow_symlinks=False):
+                pending.append((child.path, prefix + child.name + "/"))
+            elif child.is_file(follow_symlinks=False):
+                yield child.path, prefix + child.name
 
 
 def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
     """Snapshot the resource tree: one entry per regular file, sorted by URI.
 
+    Exclude patterns are matched against each file's relative POSIX path.
     Unreadable files are logged and skipped; the partial inventory is still
     valid. ``taken_at`` defaults to the wall clock and exists so callers
     driving a virtual clock can pin the snapshot instant.
@@ -118,33 +146,28 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
         taken_at = datetime.now(timezone.utc)
     taken_at = as_utc_instant(taken_at)
 
+    excludes = config.exclude_patterns
     entries: list[ResourceEntry] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = Path(dirpath) / name
-            rel = path.relative_to(root).as_posix()
-            if any(fnmatch.fnmatch(rel, pat) for pat in config.exclude_patterns):
-                continue
-            if path.is_symlink() or not path.is_file():
-                continue
-            try:
-                st = path.stat()
-                digest_map = hash_file(path, config.digest_algorithms)
-            except OSError as exc:
-                logger.warning("skipping unreadable file %s: %s", path, exc)
-                continue
-            entries.append(
-                ResourceEntry(
-                    uri=uri_for_relpath(config.base_uri, rel),
-                    lastmod=datetime.fromtimestamp(int(st.st_mtime), tz=timezone.utc),
-                    metadata=ResourceMetadata(
-                        digests=digest_map,
-                        length=st.st_size,
-                        mime_type=mime_type_for(name),
-                    ),
-                )
+    for path, rel in _regular_files(os.fspath(root)):
+        if excludes and any(fnmatch.fnmatch(rel, pat) for pat in excludes):
+            continue
+        try:
+            st = os.stat(path)
+            digest_map = hash_file(path, config.digest_algorithms)
+        except OSError as exc:
+            logger.warning("skipping unreadable file %s: %s", path, exc)
+            continue
+        entries.append(
+            ResourceEntry(
+                uri=uri_for_relpath(config.base_uri, rel),
+                lastmod=datetime.fromtimestamp(int(st.st_mtime), tz=timezone.utc),
+                metadata=ResourceMetadata(
+                    digests=digest_map,
+                    length=st.st_size,
+                    mime_type=mime_type_for(rel.rpartition("/")[2]),
+                ),
             )
+        )
 
     entries.sort(key=lambda e: e.uri)
     inv = Inventory(
@@ -324,6 +347,34 @@ def _window_start(instant: datetime, period: int) -> datetime:
     return datetime.fromtimestamp(ts - ts % period, tz=timezone.utc)
 
 
+_INSTANT = attrgetter("instant")
+
+
+def _windows(records: list[ChangeRecord], period: int, end: int):
+    """Yield ``(window start, lo, hi)`` for each window holding ``records[:end]``.
+
+    ``records[lo:hi]`` are the window's records. Records are time-ordered, so
+    each window's end is found by bisection: the cost grows with the number
+    of windows, not of records.
+    """
+    lo = 0
+    while lo < end:
+        start = _window_start(records[lo].instant, period)
+        hi = bisect_left(records, start + timedelta(seconds=period), lo, end, key=_INSTANT)
+        yield start, lo, hi
+        lo = hi
+
+
+def _window_document(records: list[ChangeRecord], start: datetime, period: int) -> SyncDocument:
+    entries = []
+    for rec in records:
+        meta = _without_change(rec.metadata)
+        meta.change = rec.change
+        entries.append(ResourceEntry(uri=rec.uri, lastmod=rec.instant, metadata=meta))
+    modified = start + timedelta(seconds=period - 1)
+    return SyncDocument(CapabilityKind.CHANGELIST, modified, entries)
+
+
 def emit_changelists(log: ChangeLog, period: int) -> list[SyncDocument]:
     """Bucket logged events into UTC-aligned windows, one change list each.
 
@@ -335,17 +386,11 @@ def emit_changelists(log: ChangeLog, period: int) -> list[SyncDocument]:
     """
     if period <= 0:
         raise ValueError("period must be positive")
-    buckets: dict[datetime, list[ResourceEntry]] = {}
-    for rec in log.records:
-        meta = _without_change(rec.metadata)
-        meta.change = rec.change
-        entry = ResourceEntry(uri=rec.uri, lastmod=rec.instant, metadata=meta)
-        buckets.setdefault(_window_start(rec.instant, period), []).append(entry)
-    docs = []
-    for start in sorted(buckets):
-        modified = start + timedelta(seconds=period - 1)
-        docs.append(SyncDocument(CapabilityKind.CHANGELIST, modified, buckets[start]))
-    return docs
+    records = log.records
+    return [
+        _window_document(records[lo:hi], start, period)
+        for start, lo, hi in _windows(records, period, len(records))
+    ]
 
 
 def changelist_window_name(instant: datetime, period: int) -> str:
@@ -387,22 +432,40 @@ def publish_resource_list(
 def publish_changelists(
     log: ChangeLog, period: int, web_root: Path, now: datetime
 ) -> list[Path]:
-    """Write one document per closed window plus ``changelist.xml``.
+    """Write the closed windows not yet final on disk, then ``changelist.xml``.
 
     Only windows that have fully closed (window end <= now) are published;
     events still accumulating in the open window are withheld so a poller
     never advances past changes it has not seen. With no closed window yet,
     ``changelist.xml`` is an empty change list dated just before the open
     window, which makes applying it a no-op.
+
+    A closed window's file is written once. One listing of ``web_root``
+    shows which window files exist. Windows without a file are written, and
+    so is the newest window that has one: the log is time-ordered, so events
+    appended since the last publish can only have joined that window. The
+    older ones are final and are neither bucketed nor serialized. Returns the
+    paths written, ``changelist.xml`` last.
     """
+    if period <= 0:
+        raise ValueError("period must be positive")
     now = as_utc_instant(now)
-    closed = [
-        doc
-        for doc in emit_changelists(log, period)
-        if _window_start(doc.modified, period) + timedelta(seconds=period) <= now
+    records = log.records
+    closed_end = bisect_left(records, _window_start(now, period), key=_INSTANT)
+    try:
+        on_disk = set(os.listdir(web_root))
+    except FileNotFoundError:
+        on_disk = set()
+    windows = [
+        (changelist_window_name(start, period), start, lo, hi)
+        for start, lo, hi in _windows(records, period, closed_end)
     ]
-    current = closed[-1] if closed else SyncDocument(
+    on_disk_at = [i for i, (name, *_) in enumerate(windows) if name in on_disk]
+    final = set(on_disk_at[:-1])
+    pending = [w for i, w in enumerate(windows) if i not in final]
+    names = [name for name, *_ in pending]
+    docs = [_window_document(records[lo:hi], start, period) for _, start, lo, hi in pending]
+    current = docs[-1] if docs else SyncDocument(
         CapabilityKind.CHANGELIST, _window_start(now, period) - timedelta(seconds=1), []
     )
-    names = [changelist_window_name(doc.modified, period) for doc in closed]
-    return write_documents(closed + [current], names + [CURRENT_CHANGELIST_NAME], web_root)
+    return write_documents(docs + [current], names + [CURRENT_CHANGELIST_NAME], web_root)

@@ -77,12 +77,16 @@ def _get_with_retries(
     headers: dict[str, str],
     stream: bool,
     timeout: float,
-    backoff: tuple[float, ...],
+    backoff: tuple[float, ...] | None,
 ) -> requests.Response:
     """GET with ≤5 redirects; retry transient failures (5xx, transport errors).
 
-    4xx responses are returned to the caller without retries.
+    4xx responses are returned to the caller without retries. ``backoff``
+    None means ``DEFAULT_BACKOFF`` as it is when the call is made; an empty
+    tuple means no retries.
     """
+    if backoff is None:
+        backoff = DEFAULT_BACKOFF
     last_error: str = "no attempt made"
     for attempt in range(len(backoff) + 1):
         if attempt > 0:
@@ -110,7 +114,7 @@ def fetch(
     cached: FetchResult | None = None,
     *,
     timeout: float = DEFAULT_TIMEOUT,
-    backoff: tuple[float, ...] = DEFAULT_BACKOFF,
+    backoff: tuple[float, ...] | None = None,
     max_bytes: int = MAX_DOCUMENT_BYTES,
 ) -> FetchResult:
     """GET a document, conditionally when a cached result provides validators.
@@ -165,7 +169,7 @@ def download_to(
     expected_digest: str | None = None,
     *,
     timeout: float = DEFAULT_TIMEOUT,
-    backoff: tuple[float, ...] = DEFAULT_BACKOFF,
+    backoff: tuple[float, ...] | None = None,
 ) -> tuple[int, str]:
     """Stream a resource body to ``temp_path``, hashing incrementally.
 

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 import requests
 
-from sitemapsync import cli, source
+from sitemapsync import cli, source, transport
 from sitemapsync.codec import parse_document
 from sitemapsync.model import CapabilityKind
 
-from conftest import assert_trees_equal, read_tree, write_tree
+from conftest import FAST_BACKOFF, assert_trees_equal, read_tree, write_tree
 
 
 def run_cli(argv) -> int:
@@ -40,14 +40,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.rstrip("\n")
 
-    def test_unreachable_source_is_1(self, tmp_path, capsys):
+    def test_unreachable_source_is_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(transport, "DEFAULT_BACKOFF", FAST_BACKOFF)
         rc = run_cli(
             ["baseline", "--source", "http://127.0.0.1:1/rl.xml", "--store", tmp_path / "s"]
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_audit_error_is_2(self, tmp_path, capsys):
+    def test_audit_error_is_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(transport, "DEFAULT_BACKOFF", FAST_BACKOFF)
         rc = run_cli(
             ["audit", "--source", "http://127.0.0.1:1/rl.xml", "--store", tmp_path / "s"]
         )

@@ -2,9 +2,11 @@ import hashlib
 import os
 import random
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
+
+from sitemapsync import source
 
 from sitemapsync.model import (
     CapabilityKind,
@@ -20,6 +22,7 @@ from sitemapsync.source import (
     diff_inventories,
     emit_changelists,
     generate_resource_list,
+    mime_type_for,
     publish_changelists,
     scan,
     web_root_uri,
@@ -87,6 +90,43 @@ class TestScan:
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             scan(_config(tmp_path / "nope"))
+
+    def test_symlinked_file_and_directory_not_listed(self, tmp_path):
+        root, outside = tmp_path / "root", tmp_path / "outside"
+        write_tree(root, {"a.txt": b"a", "sub/b.txt": b"b"})
+        write_tree(outside, {"c.txt": b"c"})
+        (root / "link.txt").symlink_to(root / "a.txt")
+        (root / "linkdir").symlink_to(outside, target_is_directory=True)
+        (root / "sub" / "loop").symlink_to(root / "sub", target_is_directory=True)
+        inv = scan(_config(root))
+        assert list(inv.items) == [BASE + "a.txt", BASE + "sub/b.txt"]
+
+    def test_nested_tree_sorted_with_digests_lengths_and_whole_second_lastmod(self, tmp_path):
+        files = {"e": b"eeee", "a/d": b"dd", "a/b/c": b"c"}
+        write_tree(tmp_path, files)
+        mtime_ns = 1_357_000_000_700_000_000  # 0.7 s past a whole second
+        for rel in files:
+            os.utime(tmp_path / rel, ns=(mtime_ns, mtime_ns))
+        inv = scan(_config(tmp_path))
+        assert list(inv.items) == [BASE + "a/b/c", BASE + "a/d", BASE + "e"]
+        for rel, body in files.items():
+            entry = inv.items[BASE + rel]
+            assert entry.metadata.digests == {"md5": hashlib.md5(body).hexdigest()}
+            assert entry.metadata.length == len(body)
+            assert entry.lastmod == datetime.fromtimestamp(1_357_000_000, tz=UTC)
+
+    def test_exclude_pattern_matches_relative_posix_path(self, tmp_path):
+        write_tree(tmp_path, {"e": b"1", "a/d": b"2", "a/b/c": b"3"})
+        inv = scan(_config(tmp_path, exclude_patterns=("a/b/*",)))
+        assert list(inv.items) == [BASE + "a/d", BASE + "e"]
+
+
+@pytest.mark.parametrize(
+    "name", ["a.txt", "A.PDF", "x.tar.gz", "noext", ".txt", "..txt", "a.", "a..png", "."]
+)
+def test_mime_type_follows_path_suffix(name):
+    expected = source._MIME_MAP.get(PurePath(name).suffix.lower(), source._MIME_FALLBACK)
+    assert mime_type_for(name) == expected
 
 
 @pytest.mark.parametrize(
@@ -380,3 +420,86 @@ class TestPublishChangelists:
         current = parse_document((tmp_path / "changelist.xml").read_bytes())
         assert current.entries == []
         assert current.modified < t0
+
+
+class TestPublishWritesEachWindowOnce:
+    """A closed window's file is written once; later publishes add new windows."""
+
+    T0 = datetime(2013, 1, 1, tzinfo=UTC)
+
+    def _append(self, log, *offsets):
+        for offset in offsets:
+            log.append(
+                self.T0 + timedelta(seconds=offset),
+                BASE + f"r{offset}",
+                ChangeKind.UPDATED,
+                ResourceMetadata(digests={"md5": "%032x" % offset}, length=offset),
+            )
+
+    def _publish(self, log, web, seconds):
+        return publish_changelists(log, 10, web, now=self.T0 + timedelta(seconds=seconds))
+
+    def _window(self, web, offset) -> Path:
+        return web / changelist_window_name(self.T0 + timedelta(seconds=offset), 10)
+
+    def _uris(self, path):
+        return [e.uri for e in parse_document(path.read_bytes()).entries]
+
+    def test_final_windows_keep_their_files(self, tmp_path):
+        log = ChangeLog()
+        self._append(log, 1, 12, 23)
+        self._publish(log, tmp_path, 30)
+        final = [self._window(tmp_path, s) for s in (1, 12)]
+        before = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in final]
+        self._append(log, 34, 45)
+        written = self._publish(log, tmp_path, 50)
+        assert [(p.stat().st_ino, p.stat().st_mtime_ns) for p in final] == before
+        assert not set(written) & set(final)
+        assert self._uris(self._window(tmp_path, 45)) == [BASE + "r45"]
+
+    def test_many_publishes_equal_one_publish_into_empty_dir(self, tmp_path):
+        rng = random.Random(5)
+        log = ChangeLog()
+        web = tmp_path / "web"
+        last = 0
+        for k in range(1, 41):
+            # New events may land in windows that closed before this publish.
+            for _ in range(rng.randrange(0, 4)):
+                last = rng.randrange(last, 10 * k)
+                self._append(log, last)
+            self._publish(log, web, 10 * k)
+            fresh = tmp_path / f"fresh-{k}"
+            self._publish(log, fresh, 10 * k)
+            assert read_tree(web) == read_tree(fresh), f"publish {k} differs"
+
+    def test_event_joining_newest_closed_window_is_published(self, tmp_path):
+        log = ChangeLog()
+        self._append(log, 1, 12)
+        self._publish(log, tmp_path, 20)
+        self._append(log, 15)
+        self._publish(log, tmp_path, 25)
+        expected = [BASE + "r12", BASE + "r15"]
+        assert self._uris(self._window(tmp_path, 12)) == expected
+        assert self._uris(tmp_path / "changelist.xml") == expected
+
+    def test_window_sealed_after_a_late_event_is_published(self, tmp_path):
+        log = ChangeLog()
+        self._append(log, 1, 12)
+        self._publish(log, tmp_path, 20)
+        # Joins the window already on disk, then a later event seals it.
+        self._append(log, 15, 23)
+        self._publish(log, tmp_path, 30)
+        assert self._uris(self._window(tmp_path, 12)) == [BASE + "r12", BASE + "r15"]
+        assert self._uris(tmp_path / "changelist.xml") == [BASE + "r23"]
+
+    def test_deleted_window_file_is_written_again(self, tmp_path):
+        log = ChangeLog()
+        self._append(log, 1, 12, 23)
+        self._publish(log, tmp_path, 30)
+        first, second = self._window(tmp_path, 1), self._window(tmp_path, 12)
+        original = first.read_bytes()
+        kept = second.stat().st_ino, second.stat().st_mtime_ns
+        first.unlink()
+        written = self._publish(log, tmp_path, 30)
+        assert first in written and first.read_bytes() == original
+        assert (second.stat().st_ino, second.stat().st_mtime_ns) == kept
