@@ -6,7 +6,7 @@ synchronization, and audit against them. Includes a deterministic churn
 simulator and a minimal static file server for end-to-end testing.
 """
 
-from .codec import CodecError, parse_document, parse_index, serialize_document, serialize_index
+from .codec import CodecError, parse_document, serialize_document
 from .destination import (
     BaselineRequiredError,
     StateError,
@@ -73,11 +73,9 @@ __all__ = [
     "incremental_sync",
     "load_state",
     "parse_document",
-    "parse_index",
     "save_state",
     "scan",
     "serialize_document",
-    "serialize_index",
     "serve",
     "__version__",
 ]

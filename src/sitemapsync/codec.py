@@ -195,16 +195,6 @@ def parse_document(data: bytes) -> SyncDocument:
     return doc
 
 
-def parse_index(data: bytes) -> SyncDocument:
-    """Parse a document and require it to be a list index."""
-    doc = parse_document(data)
-    if not doc.capability.is_index:
-        raise CodecError(
-            "unknown_capability", f"expected an index document, got {doc.capability.value}"
-        )
-    return doc
-
-
 def _attr(value: str) -> str:
     return escape(value, {'"': "&quot;"})
 
@@ -260,12 +250,3 @@ def serialize_document(doc: SyncDocument) -> bytes:
             "oversize_document", f"serialized document is {len(data)} bytes (cap 50 MB)"
         )
     return data
-
-
-def serialize_index(doc: SyncDocument) -> bytes:
-    """Serialize a document that must be a list index."""
-    if not doc.capability.is_index:
-        raise CodecError(
-            "unknown_capability", f"expected an index document, got {doc.capability.value}"
-        )
-    return serialize_document(doc)

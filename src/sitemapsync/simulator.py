@@ -111,8 +111,14 @@ class SourceSimulator:
         return self.start + timedelta(seconds=LEAD_IN_SECONDS + self.config.duration)
 
     def advance(self, until: datetime) -> None:
-        """Apply every scheduled event with instant <= until."""
-        until_offset = (as_utc_instant(until) - self.start).total_seconds()
+        """Apply every scheduled event with instant <= until.
+
+        ``until`` is taken to the microsecond (naive means UTC), so the events
+        up to it are applied even when it is not a whole second.
+        """
+        if until.tzinfo is None:
+            until = until.replace(tzinfo=timezone.utc)
+        until_offset = (until - self.start).total_seconds()
         horizon = LEAD_IN_SECONDS + self.config.duration
         if self.config.burst_size is not None:
             burst_offset = LEAD_IN_SECONDS + self.config.duration / 2.0

@@ -4,8 +4,11 @@ The source publishes its view under a web root with fixed names:
 ``resourcelist.xml`` (the list itself or, when partitioned, the index of
 its ``resourcelist-N.xml`` members), one ``changelist-<window>.xml`` per
 closed window, and ``changelist.xml`` mirroring the newest closed window.
-``write_documents`` writes every one of them. A closed window's file is
-written once (see ``publish_changelists``), so a web root belongs to one log.
+``write_documents`` writes every one of them. Publishing seals the closed
+windows (``ChangeLog.sealed``): an event logged later lands in the open
+window, so a window's file is written once and a web root belongs to one log.
+``scan`` reuses the digests of files whose stat has not changed since an
+earlier scan of the same tree, so a publish hashes about what changed.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import fnmatch
 import logging
 import os
+import threading
+import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -43,6 +48,20 @@ RESOURCELIST_NAME = "resourcelist.xml"
 CURRENT_CHANGELIST_NAME = "changelist.xml"
 
 DAY_SECONDS = 86_400
+
+# Digest cache of ``scan``: (tree realpath, algorithms) -> {relative path:
+# ((st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns), digests)}, holding
+# the files of the tree's latest scan, for the most recently scanned trees.
+# It is module-level because publishing goes through free functions
+# (``simulator.publish``), so no long-lived object could hold it.
+_DIGEST_CACHE: dict[tuple[str, tuple[str, ...]], dict[str, tuple[tuple, dict[str, str]]]] = {}
+_DIGEST_CACHE_LOCK = threading.Lock()
+DIGEST_CACHE_TREES = 4
+# A file whose ctime or mtime is not older than the scan's start minus this
+# margin is hashed and not cached (git's racy-index rule): a rewrite within
+# the file system's clock granularity, or one pinned to the same mtime as the
+# simulator does, could otherwise leave the stat unchanged.
+RACY_MARGIN_NS = 1_000_000_000
 
 # Fixed extension map keeps scan output machine-independent.
 _MIME_MAP = {
@@ -137,6 +156,12 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
     Unreadable files are logged and skipped; the partial inventory is still
     valid. ``taken_at`` defaults to the wall clock and exists so callers
     driving a virtual clock can pin the snapshot instant.
+
+    A file's digests are reused from the previous scan of the same tree with
+    the same algorithms when its stat (device, inode, size, mtime and ctime,
+    taken before hashing) is unchanged. Only files whose ctime and mtime are
+    older than the scan's start minus ``RACY_MARGIN_NS`` are cached, so a
+    rewrite that leaves the stat unchanged is still hashed.
     """
     config.validate()
     root = Path(config.root_dir)
@@ -146,6 +171,12 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
         taken_at = datetime.now(timezone.utc)
     taken_at = as_utc_instant(taken_at)
 
+    settled_before = time.time_ns() - RACY_MARGIN_NS
+    algorithms = tuple(config.digest_algorithms)
+    cache_key = (os.path.realpath(root), algorithms)
+    with _DIGEST_CACHE_LOCK:
+        cached = _DIGEST_CACHE.pop(cache_key, {})
+    seen: dict[str, tuple[tuple, dict[str, str]]] = {}
     excludes = config.exclude_patterns
     entries: list[ResourceEntry] = []
     for path, rel in _regular_files(os.fspath(root)):
@@ -153,21 +184,30 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
             continue
         try:
             st = os.stat(path)
-            digest_map = hash_file(path, config.digest_algorithms)
+            stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+            known = cached.get(rel)
+            if known is None or known[0] != stamp:
+                known = (stamp, hash_file(path, algorithms))
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", path, exc)
             continue
+        if st.st_ctime_ns < settled_before and st.st_mtime_ns < settled_before:
+            seen[rel] = known
         entries.append(
             ResourceEntry(
                 uri=uri_for_relpath(config.base_uri, rel),
                 lastmod=datetime.fromtimestamp(int(st.st_mtime), tz=timezone.utc),
                 metadata=ResourceMetadata(
-                    digests=digest_map,
+                    digests=dict(known[1]),
                     length=st.st_size,
                     mime_type=mime_type_for(rel.rpartition("/")[2]),
                 ),
             )
         )
+    with _DIGEST_CACHE_LOCK:
+        _DIGEST_CACHE[cache_key] = seen
+        while len(_DIGEST_CACHE) > DIGEST_CACHE_TREES:
+            del _DIGEST_CACHE[next(iter(_DIGEST_CACHE))]
 
     entries.sort(key=lambda e: e.uri)
     inv = Inventory(
@@ -279,12 +319,19 @@ class ChangeRecord:
 class ChangeLog:
     """Append-only, time-ordered event log feeding change-list generation.
 
+    ``sealed`` is the end of the newest window ``publish_changelists`` has
+    published (None before the first publish). An event earlier than it is
+    re-stamped to ``sealed``, i.e. logged into the open window: a poller may
+    already have applied the published windows, and it always fetches a
+    resource's current bytes, so a later lastmod is safe.
+
     Persists as UTF-8 text, one record per line:
     ``<instant>\\t<kind>\\t<uri>\\t<algo:hex ...|->\\t<length|->``.
     """
 
     def __init__(self, records: list[ChangeRecord] | None = None):
         self.records: list[ChangeRecord] = []
+        self.sealed: datetime | None = None
         for rec in records or []:
             self.append(rec.instant, rec.uri, rec.change, rec.metadata)
 
@@ -296,6 +343,8 @@ class ChangeLog:
         metadata: ResourceMetadata | None = None,
     ) -> "ChangeLog":
         instant = as_utc_instant(instant)
+        if self.sealed is not None and instant < self.sealed:
+            instant = self.sealed
         if self.records and instant < self.records[-1].instant:
             raise ValueError(
                 f"out-of-order append: {instant} before {self.records[-1].instant}"
@@ -432,7 +481,7 @@ def publish_resource_list(
 def publish_changelists(
     log: ChangeLog, period: int, web_root: Path, now: datetime
 ) -> list[Path]:
-    """Write the closed windows not yet final on disk, then ``changelist.xml``.
+    """Write the newly closed windows, then ``changelist.xml``, and seal them.
 
     Only windows that have fully closed (window end <= now) are published;
     events still accumulating in the open window are withheld so a poller
@@ -440,18 +489,24 @@ def publish_changelists(
     ``changelist.xml`` is an empty change list dated just before the open
     window, which makes applying it a no-op.
 
-    A closed window's file is written once. One listing of ``web_root``
-    shows which window files exist. Windows without a file are written, and
-    so is the newest window that has one: the log is time-ordered, so events
-    appended since the last publish can only have joined that window. The
-    older ones are final and are neither bucketed nor serialized. Returns the
-    paths written, ``changelist.xml`` last.
+    Publishing moves ``log.sealed`` to the start of the open window, so no
+    event can join a published window afterwards. One listing of
+    ``web_root`` shows which files exist. Written are the windows starting
+    at or after the previous seal, the window files that are missing, and
+    ``changelist.xml`` when the seal moved or the file is missing. A ``now``
+    whose window starts before the seal is rejected with ``ValueError``.
+    Returns the window files written, then ``changelist.xml``, which is
+    always last.
     """
     if period <= 0:
         raise ValueError("period must be positive")
     now = as_utc_instant(now)
+    open_start = _window_start(now, period)
+    sealed = log.sealed
+    if sealed is not None and open_start < sealed:
+        raise ValueError(f"cannot publish at {now}: windows up to {sealed} are already sealed")
     records = log.records
-    closed_end = bisect_left(records, _window_start(now, period), key=_INSTANT)
+    closed_end = bisect_left(records, open_start, key=_INSTANT)
     try:
         on_disk = set(os.listdir(web_root))
     except FileNotFoundError:
@@ -460,12 +515,19 @@ def publish_changelists(
         (changelist_window_name(start, period), start, lo, hi)
         for start, lo, hi in _windows(records, period, closed_end)
     ]
-    on_disk_at = [i for i, (name, *_) in enumerate(windows) if name in on_disk]
-    final = set(on_disk_at[:-1])
-    pending = [w for i, w in enumerate(windows) if i not in final]
+    pending = [w for w in windows if sealed is None or w[1] >= sealed or w[0] not in on_disk]
     names = [name for name, *_ in pending]
     docs = [_window_document(records[lo:hi], start, period) for _, start, lo, hi in pending]
-    current = docs[-1] if docs else SyncDocument(
-        CapabilityKind.CHANGELIST, _window_start(now, period) - timedelta(seconds=1), []
-    )
-    return write_documents(docs + [current], names + [CURRENT_CHANGELIST_NAME], web_root)
+    if open_start != sealed or CURRENT_CHANGELIST_NAME not in on_disk:
+        if not windows:
+            newest = SyncDocument(CapabilityKind.CHANGELIST, open_start - timedelta(seconds=1), [])
+        elif pending and pending[-1] is windows[-1]:
+            newest = docs[-1]
+        else:
+            _, start, lo, hi = windows[-1]
+            newest = _window_document(records[lo:hi], start, period)
+        names.append(CURRENT_CHANGELIST_NAME)
+        docs.append(newest)
+    written = write_documents(docs, names, web_root)
+    log.sealed = open_start
+    return written[: len(pending)] + [Path(web_root) / CURRENT_CHANGELIST_NAME]

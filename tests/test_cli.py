@@ -182,6 +182,10 @@ class TestSimulateCommand:
 class TestServeSubprocess:
     def test_serve_runs_and_shuts_down_on_signal(self, tmp_path):
         write_tree(tmp_path / "web", {"hello.txt": b"hi"})
+        # The child imports the package from the directory this process uses.
+        package_dir = str(Path(cli.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_dir, inherited]))}
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "sitemapsync", "serve",
@@ -190,6 +194,7 @@ class TestServeSubprocess:
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=env,
         )
         try:
             deadline = time.time() + 10

@@ -6,9 +6,7 @@ import pytest
 from sitemapsync.codec import (
     CodecError,
     parse_document,
-    parse_index,
     serialize_document,
-    serialize_index,
 )
 from sitemapsync.model import (
     CapabilityKind,
@@ -248,12 +246,12 @@ class TestIndexDocuments:
 
     def test_minimal_index_round_trip(self):
         doc = self._index()
-        parsed = parse_index(serialize_index(doc))
+        parsed = parse_document(serialize_document(doc))
         assert parsed == doc
-        assert len(parsed.entries) == 2
+        assert len(parsed.entries) == 2 and parsed.capability.is_index
 
     def test_index_uses_sitemapindex_root(self):
-        out = serialize_index(self._index()).decode()
+        out = serialize_document(self._index()).decode()
         assert "<sitemapindex" in out and "<sitemap>" in out
 
     def test_member_with_change_rejected(self):
@@ -275,10 +273,6 @@ class TestIndexDocuments:
         with pytest.raises(CodecError) as exc:
             parse_document(data)
         assert exc.value.kind == "malformed_xml"
-
-    def test_parse_index_rejects_plain_list(self):
-        with pytest.raises(CodecError):
-            parse_index(RESOURCE_LIST_XML)
 
 
 class TestSerialization:

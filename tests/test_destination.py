@@ -803,3 +803,67 @@ class TestAudit:
         (store / "a").write_bytes(b"123456789")
         report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
         assert report.stale == [res_base + "a"]
+
+
+class TestPolledWindows:
+    """A destination that polls every published window ends equal to the source."""
+
+    PERIOD = 10
+
+    def _baselined(self, site, tmp_path, log):
+        web, res, handle, res_base = site
+        simulator.publish(res, web, res_base, log, self.PERIOD, now=T_BASE)
+        store = tmp_path / "store"
+        state = load_state(store / STATE_FILE_NAME)
+        baseline_sync(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        return store, state
+
+    def _publish_and_sync(self, site, log, store, state, seconds):
+        web, res, handle, res_base = site
+        now = T_BASE + timedelta(seconds=seconds)
+        simulator.publish(res, web, res_base, log, self.PERIOD, now=now)
+        report = incremental_sync(
+            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
+        )
+        assert report.failed == 0, report.failures
+        return report
+
+    def _assert_audit_clean(self, site, store, state):
+        web, res, handle, res_base = site
+        result = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        assert result.clean, (result.missing, result.stale, result.extraneous)
+        assert_trees_equal(res, store)
+
+    def test_event_logged_into_a_polled_window_reaches_the_store(self, site, tmp_path):
+        web, res, handle, res_base = site
+        write_tree(res, {"a.txt": b"a1", "b.txt": b"b1"})
+        set_tree_mtimes(res, T_BASE)
+        log = ChangeLog()
+        store, state = self._baselined(site, tmp_path, log)
+
+        def update(name, body, seconds):
+            path = res / name
+            path.write_bytes(body)
+            instant = T_BASE + timedelta(seconds=seconds)
+            os.utime(path, (instant.timestamp(), instant.timestamp()))
+            meta = ResourceMetadata(digests=hash_file(path, ("md5",)), length=len(body))
+            log.append(instant, res_base + name, ChangeKind.UPDATED, meta)
+
+        update("a.txt", b"a2", 2)
+        assert self._publish_and_sync(site, log, store, state, 10).updated == 1
+        # Logged after the 0-10 s window was published and polled.
+        update("b.txt", b"b2", 5)
+        simulator.publish(res, web, res_base, log, self.PERIOD, now=T_BASE + timedelta(seconds=10))
+        assert self._publish_and_sync(site, log, store, state, 20).updated == 1
+        self._assert_audit_clean(site, store, state)
+
+    def test_advance_to_just_before_each_publish_loses_no_event(self, site, tmp_path):
+        web, res, handle, res_base = site
+        config = SimConfig(seed=3, n_initial=50, duration=10.0 * self.PERIOD)
+        sim = SourceSimulator(config, res, res_base, start=T_BASE)
+        store, state = self._baselined(site, tmp_path, sim.log)
+        for k in range(1, 11):
+            now = T_BASE + timedelta(seconds=self.PERIOD * k)
+            sim.advance(now - timedelta(microseconds=1))
+            self._publish_and_sync(site, sim.log, store, state, self.PERIOD * k)
+        self._assert_audit_clean(site, store, state)

@@ -88,6 +88,15 @@ class TestDeterminism:
         assert tree_digests(tmp_path / "whole") == tree_digests(tmp_path / "stepped")
 
 
+    def test_advance_to_a_fractional_instant_applies_every_earlier_event(self, tmp_path):
+        config = SimConfig(seed=3, n_initial=10, event_rate=3.0, duration=40.0)
+        whole = run(config, tmp_path / "whole", BASE)
+        sim = SourceSimulator(config, tmp_path / "stepped", BASE)
+        for k in range(1, 5):
+            now = SIM_EPOCH + timedelta(seconds=10 * k)
+            sim.advance(now - timedelta(microseconds=1))
+            assert len(sim.log) == sum(1 for rec in whole.records if rec.instant < now)
+
 class TestEventStatistics:
     def test_event_count_in_poisson_band(self, tmp_path):
         # rate 1.4/s for 60 s: mean 84; band [55, 115] per the scenario scaling

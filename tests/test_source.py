@@ -1,6 +1,8 @@
 import hashlib
 import os
 import random
+import sys
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path, PurePath
 
@@ -29,7 +31,7 @@ from sitemapsync.source import (
 )
 from sitemapsync.codec import parse_document
 
-from conftest import read_tree, write_tree
+from conftest import read_tree, set_tree_mtimes, write_tree
 
 UTC = timezone.utc
 BASE = "http://example.com/"
@@ -120,6 +122,122 @@ class TestScan:
         inv = scan(_config(tmp_path, exclude_patterns=("a/b/*",)))
         assert list(inv.items) == [BASE + "a/d", BASE + "e"]
 
+
+class TestDigestCache:
+    """``scan`` reuses the digests of settled files whose stat is unchanged."""
+
+    T = datetime(2013, 1, 1, tzinfo=UTC)
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = []
+        real = source.hash_file
+
+        def counting(path, algorithms):
+            calls.append(os.path.basename(path))
+            return real(path, algorithms)
+
+        monkeypatch.setattr(source, "hash_file", counting)
+        return calls
+
+    @pytest.fixture
+    def settled(self, monkeypatch):
+        # Every file written before a scan starts counts as settled.
+        monkeypatch.setattr(source, "RACY_MARGIN_NS", 0)
+
+    def _digests(self, inv):
+        return {uri: e.metadata.digests for uri, e in inv.items.items()}
+
+    def test_settled_unchanged_tree_is_not_hashed_again(self, tmp_path, hashed, settled):
+        write_tree(tmp_path, {"a.txt": b"hi", "d/b.bin": b"\x00\x01\x02"})
+        first = scan(_config(tmp_path), taken_at=self.T)
+        assert sorted(hashed) == ["a.txt", "b.bin"]
+        hashed.clear()
+        assert scan(_config(tmp_path), taken_at=self.T) == first
+        assert hashed == []
+
+    def test_one_changed_file_is_hashed_once(self, tmp_path, hashed, settled):
+        write_tree(tmp_path, {"a.txt": b"hi", "b.txt": b"ho", "c.txt": b"hu"})
+        scan(_config(tmp_path))
+        hashed.clear()
+        (tmp_path / "b.txt").write_bytes(b"hey")
+        inv = scan(_config(tmp_path))
+        assert hashed == ["b.txt"]
+        assert inv.items[BASE + "b.txt"].metadata.digests["md5"] == hashlib.md5(b"hey").hexdigest()
+        assert inv.items[BASE + "a.txt"].metadata.digests["md5"] == MD5_HI
+
+    def test_same_size_rewrite_with_pinned_mtime_within_margin_is_rehashed(
+        self, tmp_path, hashed, monkeypatch
+    ):
+        monkeypatch.setattr(source, "RACY_MARGIN_NS", 3_600 * 10**9)
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"hi")
+        set_tree_mtimes(tmp_path, self.T)
+        scan(_config(tmp_path))
+        scan(_config(tmp_path))
+        assert hashed == ["a.txt", "a.txt"]  # too recent to be cached
+        path.write_bytes(b"ho")
+        set_tree_mtimes(tmp_path, self.T)
+        inv = scan(_config(tmp_path))
+        assert len(hashed) == 3
+        assert inv.items[BASE + "a.txt"].metadata.digests["md5"] == hashlib.md5(b"ho").hexdigest()
+
+    def test_other_algorithms_miss_the_cache(self, tmp_path, hashed, settled):
+        write_tree(tmp_path, {"a.txt": b"hi"})
+        scan(_config(tmp_path))
+        scan(_config(tmp_path))
+        assert hashed == ["a.txt"]
+        inv = scan(_config(tmp_path, digest_algorithms=("md5", "sha-256")))
+        assert hashed == ["a.txt", "a.txt"]
+        assert inv.items[BASE + "a.txt"].metadata.digests == {"md5": MD5_HI, "sha-256": SHA256_HI}
+
+    def test_deleted_file_is_dropped_from_the_cache(self, tmp_path, hashed, settled):
+        write_tree(tmp_path, {"a.txt": b"hi", "b.txt": b"ho"})
+        scan(_config(tmp_path))
+        key = (os.path.realpath(tmp_path), ("md5",))
+        assert sorted(source._DIGEST_CACHE[key]) == ["a.txt", "b.txt"]
+        (tmp_path / "b.txt").unlink()
+        assert sorted(scan(_config(tmp_path)).items) == [BASE + "a.txt"]
+        assert sorted(source._DIGEST_CACHE[key]) == ["a.txt"]
+
+    def test_only_the_latest_trees_are_cached(self, tmp_path, settled):
+        roots = [tmp_path / f"t{k}" for k in range(source.DIGEST_CACHE_TREES + 2)]
+        for root in roots:
+            write_tree(root, {"a.txt": b"hi"})
+            scan(_config(root))
+        assert len(source._DIGEST_CACHE) == source.DIGEST_CACHE_TREES
+        assert (os.path.realpath(roots[-1]), ("md5",)) in source._DIGEST_CACHE
+        assert (os.path.realpath(roots[0]), ("md5",)) not in source._DIGEST_CACHE
+
+
+    def test_concurrent_scans_stay_correct_and_bounded(self, tmp_path, settled):
+        roots = [tmp_path / f"t{k}" for k in range(source.DIGEST_CACHE_TREES + 4)]
+        for k, root in enumerate(roots):
+            write_tree(root, {"a.txt": b"%d" % k})
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(100):
+                    k = (offset + i) % len(roots)
+                    digests = scan(_config(roots[k])).items[BASE + "a.txt"].metadata.digests
+                    assert digests == {"md5": hashlib.md5(b"%d" % k).hexdigest()}
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(source._DIGEST_CACHE) <= source.DIGEST_CACHE_TREES
 
 @pytest.mark.parametrize(
     "name", ["a.txt", "A.PDF", "x.tar.gz", "noext", ".txt", "..txt", "a.", "a..png", "."]
@@ -423,7 +541,7 @@ class TestPublishChangelists:
 
 
 class TestPublishWritesEachWindowOnce:
-    """A closed window's file is written once; later publishes add new windows."""
+    """A closed window's file is written once; later events join the open window."""
 
     T0 = datetime(2013, 1, 1, tzinfo=UTC)
 
@@ -472,25 +590,58 @@ class TestPublishWritesEachWindowOnce:
             self._publish(log, fresh, 10 * k)
             assert read_tree(web) == read_tree(fresh), f"publish {k} differs"
 
-    def test_event_joining_newest_closed_window_is_published(self, tmp_path):
+    def _kept(self, path):
+        return path.stat().st_ino, path.stat().st_mtime_ns, path.read_bytes()
+
+    def test_late_event_is_restamped_into_next_window(self, tmp_path):
         log = ChangeLog()
         self._append(log, 1, 12)
         self._publish(log, tmp_path, 20)
-        self._append(log, 15)
+        assert log.sealed == self.T0 + timedelta(seconds=20)
+        sealed = self._window(tmp_path, 12)
+        kept = self._kept(sealed)
+        self._append(log, 15)  # falls in the published 10-20 s window
+        assert log.records[-1].instant == log.sealed
         self._publish(log, tmp_path, 25)
-        expected = [BASE + "r12", BASE + "r15"]
-        assert self._uris(self._window(tmp_path, 12)) == expected
+        assert self._kept(sealed) == kept
+        self._publish(log, tmp_path, 30)
+        assert self._kept(sealed) == kept
+        for path in (self._window(tmp_path, 20), tmp_path / "changelist.xml"):
+            (entry,) = parse_document(path.read_bytes()).entries
+            assert (entry.uri, entry.lastmod) == (BASE + "r15", self.T0 + timedelta(seconds=20))
+
+    def test_sealed_window_is_kept_after_a_late_event(self, tmp_path):
+        log = ChangeLog()
+        self._append(log, 1, 12)
+        self._publish(log, tmp_path, 20)
+        sealed = self._window(tmp_path, 12)
+        kept = self._kept(sealed)
+        # 15 s falls in the published window, 23 s in the open one.
+        self._append(log, 15, 23)
+        written = self._publish(log, tmp_path, 30)
+        assert sealed not in written and self._kept(sealed) == kept
+        expected = [BASE + "r15", BASE + "r23"]
+        assert self._uris(self._window(tmp_path, 20)) == expected
         assert self._uris(tmp_path / "changelist.xml") == expected
 
-    def test_window_sealed_after_a_late_event_is_published(self, tmp_path):
+    def test_republish_in_the_same_window_writes_nothing(self, tmp_path):
         log = ChangeLog()
         self._append(log, 1, 12)
         self._publish(log, tmp_path, 20)
-        # Joins the window already on disk, then a later event seals it.
-        self._append(log, 15, 23)
-        self._publish(log, tmp_path, 30)
-        assert self._uris(self._window(tmp_path, 12)) == [BASE + "r12", BASE + "r15"]
-        assert self._uris(tmp_path / "changelist.xml") == [BASE + "r23"]
+        current = tmp_path / "changelist.xml"
+        kept = self._kept(current)
+        assert self._publish(log, tmp_path, 29) == [current]
+        assert self._kept(current) == kept
+
+    def test_publish_before_the_seal_is_rejected(self, tmp_path):
+        log = ChangeLog()
+        self._append(log, 1, 12)
+        self._publish(log, tmp_path, 20)
+        kept = self._kept(tmp_path / "changelist.xml")
+        with pytest.raises(ValueError, match="sealed"):
+            self._publish(log, tmp_path, 19)
+        assert self._kept(tmp_path / "changelist.xml") == kept
+        assert log.sealed == self.T0 + timedelta(seconds=20)
 
     def test_deleted_window_file_is_written_again(self, tmp_path):
         log = ChangeLog()
