@@ -31,7 +31,6 @@ from .destination import (
     SyncPolicy,
     audit,
     baseline_sync,
-    common_uri_prefix,
     incremental_sync,
     load_state,
     STATE_FILE_NAME,
@@ -48,8 +47,10 @@ from .simulator import SIM_EPOCH, SimConfig, run as run_simulation, publish as p
 from .source import (
     CURRENT_CHANGELIST_NAME,
     ChangeLog,
+    PathMappingError,
     SourceConfig,
     changelist_window_name,
+    common_uri_prefix,
     diff_inventories,
     emit_changelists,
     publish_resource_list,
@@ -107,13 +108,11 @@ def _source_config(args, cfg) -> SourceConfig:
         raise ValueError("--root and --base-uri are required (flag or [source] config)")
     digests = _opt(getattr(args, "digests", None), cfg, "source", "digests", "md5", str)
     excludes = _opt(getattr(args, "exclude", None), cfg, "source", "excludes", "", str)
-    period = _opt(getattr(args, "period", None), cfg, "source", "period", 86_400, int)
     config = SourceConfig(
         root_dir=Path(root),
         base_uri=base_uri,
         digest_algorithms=tuple(x.strip() for x in str(digests).split(",") if x.strip()),
         exclude_patterns=tuple(x.strip() for x in str(excludes).split(",") if x.strip()),
-        changelist_period=int(period),
     )
     config.validate()
     return config
@@ -213,10 +212,8 @@ def _snapshot_inventories(args, old_path: str, new_path: str) -> tuple[Inventory
             scan(SourceConfig(root_dir=new, base_uri=base_uri)),
         )
     docs = (_parse_resource_list(old), _parse_resource_list(new))
-    uris = [e.uri for doc in docs for e in doc.entries]
-    if not uris:
-        raise ValueError("cannot diff two empty resource lists (no URI prefix)")
-    base = common_uri_prefix(uris)  # shared prefix keeps both inventories comparable
+    # shared prefix keeps both inventories comparable
+    base = common_uri_prefix([e.uri for doc in docs for e in doc.entries])
     inventories = []
     for doc in docs:
         inv = Inventory(
@@ -274,7 +271,7 @@ def cmd_audit(args) -> int:
     try:
         state = load_state(state_path)
         report = audit(args.source, Path(args.store), state, policy)
-    except (TransportError, CodecError, SyncError, ValidationError, OSError) as exc:
+    except (TransportError, CodecError, SyncError, PathMappingError, ValidationError, OSError) as exc:
         _error_line(f"{type(exc).__name__}: {exc}")
         return EXIT_PARTIAL
     _print_report(report, args.format)

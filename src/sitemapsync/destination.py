@@ -5,7 +5,7 @@ per source URI, the relative local path, lastmod, and digest it holds. All
 file writes go through a temp file in the store root followed by an atomic
 rename, so a killed run never leaves a partial file at a final path.
 Infrastructure entries in the store (lock, state, temp files) all start with
-``.resync`` and are invisible to synchronization and audit.
+``.resync``: no URI maps onto one, and synchronization and audit ignore them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from urllib.parse import unquote
 
 from .atomic import atomic_write_bytes
 from .codec import parse_document
@@ -37,14 +36,19 @@ from .model import (
     format_w3c_datetime,
     parse_w3c_datetime,
 )
-from .source import uri_for_relpath
+from .source import (
+    RESERVED_PREFIX,
+    PathMappingError,
+    common_uri_prefix,
+    local_path_for_uri,
+    uri_for_relpath,
+)
 from .transport import DigestMismatchError, TransportError, download_to, fetch
 
 logger = logging.getLogger(__name__)
 
 LOCK_FILE_NAME = ".resync.lock"
 STATE_FILE_NAME = ".resync.state.json"
-_INFRA_PREFIX = ".resync"
 
 STATE_FORMAT_VERSION = 1
 
@@ -79,10 +83,6 @@ class StateError(SyncError):
 
 class StoreLockedError(SyncError):
     """Another synchronization run holds the store lock."""
-
-
-class PathMappingError(SyncError):
-    """URI cannot be mapped to a safe, unique local path."""
 
 
 # --- state persistence -----------------------------------------------------
@@ -142,55 +142,29 @@ def save_state(state: DestinationState, path: Path) -> None:
 
 # --- URI <-> local path mapping ---------------------------------------------
 
-def common_uri_prefix(uris: list[str]) -> str:
-    """Longest common URI prefix, truncated to a whole path segment boundary."""
-    if not uris:
-        raise PathMappingError("cannot derive a path mapping from an empty URI set")
-    prefix = os.path.commonprefix(uris)
-    cut = prefix.rfind("/")
-    if cut < 0:
-        raise PathMappingError(f"URIs share no common prefix: {uris[0]!r} ...")
-    prefix = prefix[: cut + 1]
-    # Must keep at least scheme://authority/.
-    scheme_end = prefix.find("://")
-    if scheme_end < 0 or "/" not in prefix[scheme_end + 3 :]:
-        raise PathMappingError(f"URIs share no common authority: {uris[0]!r} ...")
-    return prefix
-
-
-def local_path_for_uri(uri: str, prefix: str) -> str:
-    """Map a URI under ``prefix`` to a safe relative path (segments decoded)."""
-    if not uri.startswith(prefix) or len(uri) == len(prefix):
-        raise PathMappingError(f"URI {uri!r} is outside the mapping prefix {prefix!r}")
-    segments = []
-    for raw in uri[len(prefix) :].split("/"):
-        seg = unquote(raw)
-        if seg in ("", ".", "..") or "/" in seg or "\\" in seg or "\x00" in seg:
-            raise PathMappingError(f"URI {uri!r} maps to an unsafe path segment {seg!r}")
-        segments.append(seg)
-    return "/".join(segments)
-
-
 def _map_paths(
     state: DestinationState, uris: list[str]
-) -> tuple[dict[str, str], dict[str, PathMappingError]]:
-    """Local path per URI: its recorded one, else one derived under the prefix.
+) -> tuple[str | None, dict[str, str], dict[str, PathMappingError]]:
+    """The store's root URI, and a local path per URI: its recorded one, else
+    one derived under the root.
 
-    Recorded URIs take part in the common prefix so it stays stable across
-    runs that see only a subset of the tree (change lists). A URI whose
-    derived path is unsafe, or is recorded or already mapped for another URI,
+    The root is fixed by the store's records, and read from any one of them:
+    its URI minus as many trailing segments as its local path has. Only a
+    store with no records takes the common prefix of ``uris``. A URI outside
+    the root, whose path is unsafe, or is recorded or mapped for another URI,
     gets a PathMappingError instead of a path.
     """
+    root = common_uri_prefix(uris) if uris and not state.records else None
+    for uri, rec in state.records.items():  # any one record
+        root = uri.rsplit("/", rec.local_path.count("/") + 1)[0] + "/"
+        break
     paths = {uri: state.records[uri].local_path for uri in uris if uri in state.records}
     unmapped: dict[str, PathMappingError] = {}
     fresh = [uri for uri in uris if uri not in paths]
-    if not fresh:
-        return paths, unmapped
-    prefix = common_uri_prefix([*fresh, *state.records])
-    owners = {rec.local_path: uri for uri, rec in state.records.items()}
+    owners = {rec.local_path: uri for uri, rec in state.records.items()} if fresh else {}
     for uri in fresh:
         try:
-            rel = local_path_for_uri(uri, prefix)
+            rel = local_path_for_uri(uri, root)
         except PathMappingError as exc:
             unmapped[uri] = exc
             continue
@@ -199,7 +173,7 @@ def _map_paths(
             unmapped[uri] = PathMappingError(f"URIs {other!r} and {uri!r} both map to {rel!r}")
         else:
             paths[uri] = rel
-    return paths, unmapped
+    return root, paths, unmapped
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -272,9 +246,9 @@ def _fetch_entries(
 def _store_files(store_dir: Path):
     """Relative paths of synchronized files, skipping .resync infrastructure."""
     for dirpath, dirnames, filenames in os.walk(store_dir):
-        dirnames[:] = sorted(d for d in dirnames if not d.startswith(_INFRA_PREFIX))
+        dirnames[:] = sorted(d for d in dirnames if not d.startswith(RESERVED_PREFIX))
         for name in sorted(filenames):
-            if name.startswith(_INFRA_PREFIX):
+            if name.startswith(RESERVED_PREFIX):
                 continue
             yield (Path(dirpath) / name).relative_to(store_dir).as_posix()
 
@@ -296,7 +270,7 @@ def _download_resource(
     """
     attempts = 2 if expected is not None else 1
     for attempt in range(attempts):
-        fd, tmp = tempfile.mkstemp(dir=store_dir, prefix=_INFRA_PREFIX + ".tmp-")
+        fd, tmp = tempfile.mkstemp(dir=store_dir, prefix=RESERVED_PREFIX + ".tmp-")
         os.close(fd)
         try:
             length, digest = download_to(uri, tmp, expected, timeout=timeout, backoff=backoff)
@@ -328,6 +302,7 @@ class _Plan:
     skipped: int = 0  # change entries not applied
     stale: list[str] = field(default_factory=list)  # downloads replacing a local copy
     unmapped: dict[str, PathMappingError] = field(default_factory=dict)
+    root: str | None = None  # URI prefix of the store's paths, None for an empty store
 
 
 def _compare(
@@ -358,8 +333,8 @@ def _plan_list(
 ) -> _Plan:
     """Download missing and stale entries, keep the same ones, and delete the
     files and records the list does not name."""
-    paths, unmapped = _map_paths(state, [e.uri for e in entries])
-    plan = _Plan(last_sync=modified, unmapped=unmapped)
+    root, paths, unmapped = _map_paths(state, [e.uri for e in entries])
+    plan = _Plan(last_sync=modified, unmapped=unmapped, root=root)
     presence_only = False
     for entry in entries:
         path = paths.get(entry.uri)
@@ -398,7 +373,7 @@ def _plan_changes(
     for entry in entries:
         if entry.lastmod > state.last_sync:  # earlier entries are already reflected
             groups.setdefault(entry.uri, []).append(entry)
-    paths, unmapped = _map_paths(state, list(groups))
+    _, paths, unmapped = _map_paths(state, list(groups))
     plan = _Plan(
         last_sync=modified if groups and modified > state.last_sync else None,
         unmapped=unmapped,
@@ -573,10 +548,8 @@ def audit(
     stale = set(plan.stale)
     report = AuditReport(in_sync=len(plan.keep), stale=plan.stale)
     report.missing = [*plan.unmapped, *(u for u in plan.downloads if u not in stale)]
-    listed = [e.uri for e in entries]
-    prefix = common_uri_prefix([*listed, *state.records]) if listed or state.records else None
     for uri, rel, _ in plan.deletes:
         if uri is None:
-            uri = uri_for_relpath(prefix, rel) if prefix else rel
+            uri = uri_for_relpath(plan.root, rel) if plan.root else rel
         report.extraneous.append(uri)
     return report

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from pathlib import Path
-from urllib.parse import quote
+from urllib.parse import quote, unquote
 
 from .atomic import atomic_write_bytes
 from .codec import serialize_document
@@ -48,6 +48,9 @@ RESOURCELIST_NAME = "resourcelist.xml"
 CURRENT_CHANGELIST_NAME = "changelist.xml"
 
 DAY_SECONDS = 86_400
+
+# Names the destination's lock, state and temp files; no URI maps onto one.
+RESERVED_PREFIX = ".resync"
 
 # Digest cache of ``scan``: (tree realpath, algorithms) -> {relative path:
 # ((st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns), digests)}, holding
@@ -90,20 +93,51 @@ class SourceConfig:
     base_uri: str
     digest_algorithms: tuple[str, ...] = ("md5",)
     exclude_patterns: tuple[str, ...] = ()
-    changelist_period: int = DAY_SECONDS  # seconds per change-list window
 
     def validate(self) -> None:
         if not is_absolute_uri(self.base_uri) or not self.base_uri.endswith("/"):
             raise ValueError(f"base_uri must be absolute and end with '/': {self.base_uri!r}")
         if not self.digest_algorithms:
             raise ValueError("at least one digest algorithm is required")
-        if self.changelist_period <= 0:
-            raise ValueError("changelist_period must be positive")
+
+
+class PathMappingError(ValueError):
+    """URI cannot be mapped to a safe, unique local path."""
 
 
 def uri_for_relpath(base_uri: str, relpath: str) -> str:
     """Map a slash-separated relative path to a URI, percent-encoding each segment."""
     return base_uri + "/".join(quote(seg, safe="") for seg in relpath.split("/"))
+
+
+def local_path_for_uri(uri: str, prefix: str) -> str:
+    """Map a URI under ``prefix`` to a safe relative path (segments decoded).
+
+    The inverse of ``uri_for_relpath``, for the destination's store and the
+    server alike; reserved and unsafe segments are rejected."""
+    if not uri.startswith(prefix) or len(uri) == len(prefix):
+        raise PathMappingError(f"URI {uri!r} is outside the mapping prefix {prefix!r}")
+    segments = []
+    for raw in uri[len(prefix) :].split("/"):
+        seg = unquote(raw)
+        unsafe = seg in ("", ".", "..") or any(c in seg for c in "/\\\x00")
+        if unsafe or seg.startswith(RESERVED_PREFIX):
+            raise PathMappingError(f"URI {uri!r} maps to an unsafe path segment {seg!r}")
+        segments.append(seg)
+    return "/".join(segments)
+
+
+def common_uri_prefix(uris: list[str]) -> str:
+    """Longest common URI prefix, truncated to a whole path segment boundary."""
+    if not uris:
+        raise PathMappingError("cannot derive a path mapping from an empty URI set")
+    prefix = os.path.commonprefix(uris)
+    prefix = prefix[: prefix.rfind("/") + 1]
+    # Must keep at least scheme://authority/.
+    scheme_end = prefix.find("://")
+    if scheme_end < 0 or "/" not in prefix[scheme_end + 3 :]:
+        raise PathMappingError(f"URIs share no common authority: {uris[0]!r} ...")
+    return prefix
 
 
 def web_root_uri(root_dir: Path, base_uri: str, web_root: Path) -> str | None:

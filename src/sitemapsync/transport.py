@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import unquote, urlsplit
+from urllib.parse import urlsplit
 
 import requests
 
 from .digests import DEFAULT_ALGORITHM, hash_bytes, new_hasher, parse_labelled_digest
-from .source import mime_type_for
+from .source import PathMappingError, local_path_for_uri, mime_type_for
 
 logger = logging.getLogger(__name__)
 
@@ -227,27 +227,22 @@ class FileRequestHandler(BaseHTTPRequestHandler):
         self._respond(head_only=True)
 
     def _resolve(self) -> Path | None:
-        raw_path = urlsplit(self.path).path
-        decoded = unquote(raw_path)
-        segments = [seg for seg in decoded.split("/") if seg]
-        if any(seg == ".." for seg in segments):
-            self._error(403, "path traversal rejected")
-            return None
-        target = self.root_dir.joinpath(*segments) if segments else self.root_dir
+        """The file a request path names, by the destination's URI mapping."""
+        # The target as sent: ``self.path`` has a leading "//" collapsed to "/".
+        target = urlsplit(self.requestline.split()[1]).path
         try:
-            resolved = target.resolve()
+            resolved = (self.root_dir / local_path_for_uri(target, "/")).resolve()
+        except PathMappingError:
+            return self._error(403, "path rejected")
         except OSError:
-            self._error(404, "not found")
-            return None
+            return self._error(404, "not found")
         if not resolved.is_relative_to(self.root_dir.resolve()):
-            self._error(403, "path escapes served root")
-            return None
+            return self._error(403, "path escapes served root")
         if not resolved.is_file():
-            self._error(404, "not found")
-            return None
+            return self._error(404, "not found")
         return resolved
 
-    def _error(self, code: int, message: str):
+    def _error(self, code: int, message: str) -> None:
         body = (message + "\n").encode()
         self.send_response(code)
         self.send_header("Content-Type", "text/plain")

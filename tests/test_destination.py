@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -326,6 +327,23 @@ class TestBaseline:
         assert (report.updated, report.skipped, report.failed) == (1, 0, 0)
         assert (store / "a.txt").read_bytes() == b"new!"
         assert audit(url, store, state, backoff=FAST_BACKOFF).clean
+
+    @pytest.mark.parametrize("name", [STATE_FILE_NAME, ".resync.lock", "d/.resync-x/a.dat"])
+    def test_reserved_names_are_rejected(self, site, tmp_path, name):
+        """A source file must not take the place of the store's own files."""
+        web, res, handle, res_base = site
+        write_tree(res, {"a.dat": b"a", name: b"not the store's"})
+        publish_list(web, res, res_base)
+        url = handle.url + "resourcelist.xml"
+        store = tmp_path / "store"
+        state_path = store / STATE_FILE_NAME
+        state = load_state(state_path)
+        with pytest.raises(PathMappingError, match="unsafe path segment"):
+            baseline_sync(url, store, state, state_path=state_path, backoff=FAST_BACKOFF)
+        assert read_tree(store) == {}
+        assert load_state(state_path).records == {}
+        report = audit(url, store, state, backoff=FAST_BACKOFF)
+        assert sorted(report.missing) == sorted([res_base + "a.dat", res_base + name])
 
     def test_store_locked(self, site, tmp_path):
         web, res, handle, res_base = site
@@ -681,6 +699,54 @@ class TestIncremental:
         assert (store / "a.dat").read_bytes() == b"first"
         assert load_state(state_path).records.keys() == {res_base + "d0/a.dat"}
 
+    def test_created_uri_decoding_onto_a_recorded_path_is_rejected(self, site, tmp_path):
+        web, res, handle, res_base, store, state = self._baselined(
+            site, tmp_path, {"a.dat": b"first"}
+        )
+        write_tree(res, {"a.dat": b"second"})
+        t1 = T0 + timedelta(hours=1)
+        created = ResourceMetadata(change=ChangeKind.CREATED)
+        doc = SyncDocument(
+            CapabilityKind.CHANGELIST, t1, [ResourceEntry(res_base + "%61.dat", t1, created)]
+        )
+        serve_changelist(web, doc)
+        with pytest.raises(PathMappingError, match="both map to 'a.dat'"):
+            incremental_sync(handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF)
+        assert read_tree(store) == {"a.dat": b"first"}
+        assert state.records.keys() == {res_base + "a.dat"}
+
+    def test_uri_outside_the_store_root_is_rejected(self, site, tmp_path):
+        """The root comes from the records, so a URI above it never shifts the layout."""
+        web, res, handle, res_base = site
+        write_tree(res, {"d0/a.dat": b"first"})
+        set_tree_mtimes(res, T_BASE)
+        publish_list(web, res, res_base)
+        list_url = handle.url + "resourcelist.xml"
+        store = tmp_path / "store"
+        state_path = store / STATE_FILE_NAME
+        state = load_state(state_path)
+        baseline_sync(list_url, store, state, state_path=state_path, backoff=FAST_BACKOFF)
+        before = read_tree(store), state_path.read_bytes()
+
+        write_tree(res, {"b.dat": b"second"})
+        t1 = T0 + timedelta(hours=1)
+        created = ResourceMetadata(change=ChangeKind.CREATED)
+        doc = SyncDocument(
+            CapabilityKind.CHANGELIST, t1, [ResourceEntry(res_base + "b.dat", t1, created)]
+        )
+        serve_changelist(web, doc)
+        outside = re.escape(f"outside the mapping prefix {res_base + 'd0/'!r}")
+        with pytest.raises(PathMappingError, match=outside):
+            incremental_sync(
+                handle.url + "changelist.xml", store, state, state_path=state_path,
+                backoff=FAST_BACKOFF,
+            )
+        assert (read_tree(store), state_path.read_bytes()) == before
+        publish_list(web, res, res_base, modified=t1)
+        with pytest.raises(PathMappingError, match=outside):
+            baseline_sync(list_url, store, state, state_path=state_path, backoff=FAST_BACKOFF)
+        assert (read_tree(store), state_path.read_bytes()) == before
+
     def test_deletes_suppressed_by_policy(self, site, tmp_path):
         web, res, handle, res_base, store, state = self._baselined(
             site, tmp_path, {"a.bin": b"x"}
@@ -749,6 +815,18 @@ class TestAudit:
         write_tree(store, {"stray.bin": b"zzz"})
         report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
         assert report.extraneous == [res_base + "stray.bin"]
+        assert report.in_sync == 1
+
+    def test_extraneous_file_named_under_the_store_root(self, site, tmp_path):
+        web, res, handle, res_base, store, state = self._baselined(
+            site, tmp_path, {"d0/a.dat": b"a"}
+        )
+        write_tree(res, {"b.dat": b"b"})
+        publish_list(web, res, res_base)
+        write_tree(store, {"stray.bin": b"zzz"})
+        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        assert report.extraneous == [res_base + "d0/stray.bin"]
+        assert report.missing == [res_base + "b.dat"]
         assert report.in_sync == 1
 
     def test_extraneous_record_detected(self, site, tmp_path):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used by that module."""
+"""Every name a module of the package imports is used by that module, and
+only ``source`` percent-encodes or decodes URI path segments."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,16 @@ def test_detects_unused_and_spares_used_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_source_quotes_uri_segments(path):
+    """One URI<->path mapping: ``source`` owns ``quote`` and ``unquote``."""
+    names = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "urllib.parse"
+        for alias in node.names
+    }
+    if path.name != "source.py":
+        assert not names & {"quote", "unquote"}

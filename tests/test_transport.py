@@ -146,6 +146,19 @@ class TestServe:
         result = fetch(handle.url + "r%C3%A9s%20um%C3%A9.txt", backoff=FAST_BACKOFF)
         assert result.body == b"x"
 
+    @pytest.mark.parametrize("path", ["/a%2Fb.txt", "/a/./b.txt", "//c.txt", "/a//b.txt"])
+    def test_one_url_per_file(self, tmp_path, http_server, path):
+        """A path the destination's URI mapping rejects is refused, not normalized."""
+        write_tree(tmp_path, {"a/b.txt": b"ab", "c.txt": b"c"})
+        handle = http_server(tmp_path)
+        conn = http.client.HTTPConnection(*handle.server.server_address[:2])
+        conn.request("GET", path)  # raw path, no client-side normalization
+        resp = conn.getresponse()
+        resp.read()
+        conn.close()
+        assert resp.status == 403
+        assert fetch(handle.url + "a/b.txt", backoff=FAST_BACKOFF).body == b"ab"
+
 
 class TestFetchRetries:
     def test_success_after_two_500s(self, scripted_server):
