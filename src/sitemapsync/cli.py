@@ -214,14 +214,11 @@ def _snapshot_inventories(args, old_path: str, new_path: str) -> tuple[Inventory
     docs = (_parse_resource_list(old), _parse_resource_list(new))
     # shared prefix keeps both inventories comparable
     base = common_uri_prefix([e.uri for doc in docs for e in doc.entries])
-    inventories = []
-    for doc in docs:
-        inv = Inventory(
-            base_uri=base, items={e.uri: e for e in doc.entries}, taken_at=doc.modified
-        )
-        inv.validate()
-        inventories.append(inv)
-    return inventories[0], inventories[1]
+    old_inv, new_inv = (
+        Inventory(base_uri=base, items={e.uri: e for e in doc.entries}, taken_at=doc.modified)
+        for doc in docs
+    )
+    return old_inv, new_inv
 
 
 def cmd_changes(args) -> int:

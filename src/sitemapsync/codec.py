@@ -9,6 +9,8 @@ per-entry ``<rs:md>`` may carry ``change``, ``hash`` (whitespace-separated
 
 Serialization is canonical: structurally equal documents produce identical
 octet sequences. Parsing ignores unknown elements and attributes.
+``parse_document`` validates every document read; ``serialize_document``
+trusts its caller, which builds documents from data checked where it entered.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .digests import format_digests, parse_digests
 from .model import (
     CapabilityKind,
     ChangeKind,
+    MAX_DOCUMENT_ENTRIES,
     ResourceEntry,
     ResourceMetadata,
     SyncDocument,
@@ -69,11 +72,6 @@ class CodecError(Exception):
         super().__init__(f"{kind}: {detail}")
         self.kind = kind
         self.detail = detail
-
-
-def _codec_error_from_validation(exc: ValidationError) -> CodecError:
-    kind = _VALIDATION_KIND_MAP.get(exc.code, "malformed_xml")
-    return CodecError(kind, exc.message)
 
 
 def _local_tag(tag: str, name: str) -> bool:
@@ -191,7 +189,7 @@ def parse_document(data: bytes) -> SyncDocument:
     try:
         validate_document(doc)
     except ValidationError as exc:
-        raise _codec_error_from_validation(exc) from None
+        raise CodecError(_VALIDATION_KIND_MAP.get(exc.code, "malformed_xml"), exc.message) from None
     return doc
 
 
@@ -217,14 +215,13 @@ def serialize_document(doc: SyncDocument) -> bytes:
 
     Equal documents produce byte-identical output: fixed attribute order,
     fixed prefix ``rs``, two-space indent, lastmod at second precision.
+    The caller supplies a valid document; only the size caps are checked.
     """
-    try:
-        validate_document(doc)
-    except ValidationError as exc:
-        raise _codec_error_from_validation(exc) from None
-
     if doc.capability.is_index:
         root_tag, entry_tag = "sitemapindex", "sitemap"
+    elif len(doc.entries) > MAX_DOCUMENT_ENTRIES:
+        n = len(doc.entries)
+        raise CodecError("oversize_document", f"{n} entries exceed the {MAX_DOCUMENT_ENTRIES} cap")
     else:
         root_tag, entry_tag = "urlset", "url"
 

@@ -16,7 +16,7 @@ import logging
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -266,7 +266,8 @@ def _download_resource(
 ) -> tuple[int, str]:
     """Download to a temp file in the store root, verify, atomically rename.
 
-    A digest mismatch is retried once before failing.
+    A digest mismatch is retried once before failing. The temp file is
+    removed on any failure, the final rename's included.
     """
     attempts = 2 if expected is not None else 1
     for attempt in range(attempts):
@@ -274,14 +275,17 @@ def _download_resource(
         os.close(fd)
         try:
             length, digest = download_to(uri, tmp, expected, timeout=timeout, backoff=backoff)
-        except DigestMismatchError:
+            final_path.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(tmp, final_path)
+            return length, digest
+        except DigestMismatchError:  # download_to removed the temp file
             if attempt + 1 == attempts:
                 raise
             logger.warning("digest mismatch for %s, retrying once", uri)
-            continue
-        final_path.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(tmp, final_path)
-        return length, digest
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
 
 
 # --- plan ----------------------------------------------------------------------

@@ -157,7 +157,8 @@ class SyncDocument:
 def validate_document(doc: SyncDocument) -> None:
     """Check every SyncDocument invariant; raise ValidationError on the first violation.
 
-    Invoked by every deserialization path and again before serialization.
+    Invoked on parse. The source checks its data where it enters instead
+    (``ChangeLog.append``, ``Inventory.validate``), not before serialization.
     """
     if not isinstance(doc.capability, CapabilityKind):
         raise ValidationError("unknown_capability", f"unknown capability: {doc.capability!r}")
@@ -222,15 +223,24 @@ class Inventory:
     taken_at: datetime
 
     def validate(self) -> None:
+        """Check that every item can be listed as it is: keyed by its URI under
+        an absolute base, with a lastmod, valid digests and no change kind."""
+        if not is_absolute_uri(self.base_uri):
+            raise ValidationError("bad_uri", f"base URI is not absolute: {self.base_uri!r}")
         for uri, entry in self.items.items():
-            if not uri.startswith(self.base_uri):
+            if entry.uri != uri or not uri.startswith(self.base_uri):
                 raise ValidationError(
-                    "bad_uri", f"item {uri} does not start with base {self.base_uri}"
+                    "bad_uri", f"item {entry.uri} keyed {uri} is not under base {self.base_uri}"
                 )
             if entry.lastmod is None:
                 raise ValidationError("missing_lastmod", f"inventory item {uri} lacks lastmod")
             if not entry.metadata.digests:
                 raise ValidationError("bad_digest", f"inventory item {uri} lacks a digest")
+            if entry.metadata.change is not None:
+                raise ValidationError(
+                    "unexpected_change", f"inventory item {uri} carries a change kind"
+                )
+            entry.metadata.validate()
 
 
 @dataclass

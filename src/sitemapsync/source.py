@@ -19,7 +19,7 @@ import os
 import threading
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -95,10 +95,14 @@ class SourceConfig:
     exclude_patterns: tuple[str, ...] = ()
 
     def validate(self) -> None:
-        if not is_absolute_uri(self.base_uri) or not self.base_uri.endswith("/"):
-            raise ValueError(f"base_uri must be absolute and end with '/': {self.base_uri!r}")
+        _require_base("base_uri", self.base_uri)
         if not self.digest_algorithms:
             raise ValueError("at least one digest algorithm is required")
+
+
+def _require_base(name: str, uri: str) -> None:
+    if not is_absolute_uri(uri) or not uri.endswith("/"):
+        raise ValueError(f"{name} must be absolute and end with '/': {uri!r}")
 
 
 class PathMappingError(ValueError):
@@ -187,8 +191,8 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
     """Snapshot the resource tree: one entry per regular file, sorted by URI.
 
     Exclude patterns are matched against each file's relative POSIX path.
-    Unreadable files are logged and skipped; the partial inventory is still
-    valid. ``taken_at`` defaults to the wall clock and exists so callers
+    Unreadable files are logged and skipped; the inventory is valid by
+    construction. ``taken_at`` defaults to the wall clock and exists so callers
     driving a virtual clock can pin the snapshot instant.
 
     A file's digests are reused from the previous scan of the same tree with
@@ -244,13 +248,11 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
             del _DIGEST_CACHE[next(iter(_DIGEST_CACHE))]
 
     entries.sort(key=lambda e: e.uri)
-    inv = Inventory(
+    return Inventory(
         base_uri=config.base_uri,
         items={e.uri: e for e in entries},
         taken_at=taken_at,
     )
-    inv.validate()
-    return inv
 
 
 def generate_resource_list(
@@ -261,38 +263,30 @@ def generate_resource_list(
     Returns a single ``resourcelist`` document when the inventory fits the
     per-document cap; otherwise the member documents followed by a
     ``resourcelist-index`` (last element) whose locs are derived from
-    ``list_base_uri`` (default: the inventory's base URI).
+    ``list_base_uri`` (default: the inventory's base URI). The inventory is
+    validated once and its entries are listed as they are.
     """
+    if list_base_uri is not None:
+        _require_base("list_base_uri", list_base_uri)
     inv.validate()
     modified = as_utc_instant(modified)
     entries = [inv.items[uri] for uri in sorted(inv.items)]
-    # Resource list entries never carry a change kind.
-    entries = [
-        ResourceEntry(uri=e.uri, lastmod=e.lastmod, metadata=_without_change(e.metadata))
-        for e in entries
-    ]
     if len(entries) <= MAX_DOCUMENT_ENTRIES:
         return [SyncDocument(CapabilityKind.RESOURCELIST, modified, entries)]
 
-    members: list[SyncDocument] = []
-    index_entries: list[ResourceEntry] = []
-    for start in range(0, len(entries), MAX_DOCUMENT_ENTRIES):
-        chunk = entries[start : start + MAX_DOCUMENT_ENTRIES]
-        members.append(SyncDocument(CapabilityKind.RESOURCELIST, modified, chunk))
-        member_uri = (list_base_uri or inv.base_uri) + member_list_name(len(members))
-        index_entries.append(ResourceEntry(uri=member_uri, lastmod=modified))
-    index = SyncDocument(CapabilityKind.RESOURCELIST_INDEX, modified, index_entries)
-    return members + [index]
+    members = [
+        SyncDocument(CapabilityKind.RESOURCELIST, modified, entries[i : i + MAX_DOCUMENT_ENTRIES])
+        for i in range(0, len(entries), MAX_DOCUMENT_ENTRIES)
+    ]
+    base = list_base_uri or inv.base_uri
+    index = [
+        ResourceEntry(base + member_list_name(n), modified) for n in range(1, len(members) + 1)
+    ]
+    return members + [SyncDocument(CapabilityKind.RESOURCELIST_INDEX, modified, index)]
 
 
 def member_list_name(ordinal: int) -> str:
     return f"resourcelist-{ordinal}.xml"
-
-
-def _without_change(meta: ResourceMetadata) -> ResourceMetadata:
-    return ResourceMetadata(
-        digests=dict(meta.digests), length=meta.length, mime_type=meta.mime_type
-    )
 
 
 def _digests_differ(old: ResourceMetadata, new: ResourceMetadata,
@@ -325,18 +319,10 @@ def diff_inventories(old: Inventory, new: Inventory) -> SyncDocument:
             kind = ChangeKind.UPDATED
         else:
             continue
-        meta = _without_change(entry.metadata)
-        meta.change = kind
-        entries.append(ResourceEntry(uri=uri, lastmod=entry.lastmod, metadata=meta))
-    for uri in old.items:
-        if uri not in new.items:
-            entries.append(
-                ResourceEntry(
-                    uri=uri,
-                    lastmod=new.taken_at,
-                    metadata=ResourceMetadata(change=ChangeKind.DELETED),
-                )
-            )
+        entries.append(ResourceEntry(uri, entry.lastmod, replace(entry.metadata, change=kind)))
+    for uri in old.items.keys() - new.items.keys():
+        deleted = ResourceMetadata(change=ChangeKind.DELETED)
+        entries.append(ResourceEntry(uri, new.taken_at, deleted))
 
     entries.sort(key=lambda e: (e.lastmod, e.uri))
     return SyncDocument(CapabilityKind.CHANGELIST, modified=new.taken_at, entries=entries)
@@ -353,14 +339,17 @@ class ChangeRecord:
 class ChangeLog:
     """Append-only, time-ordered event log feeding change-list generation.
 
-    ``sealed`` is the end of the newest window ``publish_changelists`` has
-    published (None before the first publish). An event earlier than it is
-    re-stamped to ``sealed``, i.e. logged into the open window: a poller may
-    already have applied the published windows, and it always fetches a
-    resource's current bytes, so a later lastmod is safe.
+    ``append`` checks each event's URI and metadata, so the change lists built
+    from the log need no further check. ``sealed`` is the end of the newest
+    window ``publish_changelists`` has published (None before the first
+    publish). An event earlier than it is re-stamped to ``sealed``, i.e. logged
+    into the open window: a poller may already have applied the published
+    windows, and it always fetches a resource's current bytes, so a later
+    lastmod is safe.
 
     Persists as UTF-8 text, one record per line:
-    ``<instant>\\t<kind>\\t<uri>\\t<algo:hex ...|->\\t<length|->``.
+    ``<instant>\\t<kind>\\t<uri>\\t<algo:hex ...|->\\t<length|->``, and,
+    once sealed, a last line ``sealed\\t<instant>``.
     """
 
     def __init__(self, records: list[ChangeRecord] | None = None):
@@ -383,7 +372,9 @@ class ChangeLog:
             raise ValueError(
                 f"out-of-order append: {instant} before {self.records[-1].instant}"
             )
-        self.records.append(ChangeRecord(instant, uri, change, metadata or ResourceMetadata()))
+        metadata = metadata or ResourceMetadata()
+        ResourceEntry(uri, instant, metadata).validate()
+        self.records.append(ChangeRecord(instant, uri, change, metadata))
         return self
 
     def __len__(self) -> int:
@@ -412,16 +403,17 @@ class ChangeLog:
 
     def save(self, path: Path) -> None:
         text = "".join(self._to_line(rec) + "\n" for rec in self.records)
+        if self.sealed is not None:
+            text += f"sealed\t{format_w3c_datetime(self.sealed)}\n"
         atomic_write_bytes(Path(path), text.encode("utf-8"))
 
     @classmethod
     def load(cls, path: Path) -> "ChangeLog":
-        log = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = cls._from_line(line)
-                    log.append(rec.instant, rec.uri, rec.change, rec.metadata)
+            lines = [line for line in fh if line.strip()]
+        seal = lines.pop() if lines and lines[-1].startswith("sealed\t") else None
+        log = cls([cls._from_line(line) for line in lines])  # appended, then sealed
+        log.sealed = parse_w3c_datetime(seal.partition("\t")[2]) if seal else None
         return log
 
 
@@ -449,13 +441,10 @@ def _windows(records: list[ChangeRecord], period: int, end: int):
 
 
 def _window_document(records: list[ChangeRecord], start: datetime, period: int) -> SyncDocument:
-    entries = []
-    for rec in records:
-        meta = _without_change(rec.metadata)
-        meta.change = rec.change
-        entries.append(ResourceEntry(uri=rec.uri, lastmod=rec.instant, metadata=meta))
-    modified = start + timedelta(seconds=period - 1)
-    return SyncDocument(CapabilityKind.CHANGELIST, modified, entries)
+    entries = [
+        ResourceEntry(r.uri, r.instant, replace(r.metadata, change=r.change)) for r in records
+    ]
+    return SyncDocument(CapabilityKind.CHANGELIST, start + timedelta(seconds=period - 1), entries)
 
 
 def emit_changelists(log: ChangeLog, period: int) -> list[SyncDocument]:
@@ -529,6 +518,7 @@ def publish_changelists(
     at or after the previous seal, the window files that are missing, and
     ``changelist.xml`` when the seal moved or the file is missing. A ``now``
     whose window starts before the seal is rejected with ``ValueError``.
+    The newest window is serialized once, for its file and ``changelist.xml``.
     Returns the window files written, then ``changelist.xml``, which is
     always last.
     """
@@ -550,18 +540,19 @@ def publish_changelists(
         for start, lo, hi in _windows(records, period, closed_end)
     ]
     pending = [w for w in windows if sealed is None or w[1] >= sealed or w[0] not in on_disk]
-    names = [name for name, *_ in pending]
-    docs = [_window_document(records[lo:hi], start, period) for _, start, lo, hi in pending]
+    out = {
+        name: serialize_document(_window_document(records[lo:hi], start, period))
+        for name, start, lo, hi in pending
+    }
     if open_start != sealed or CURRENT_CHANGELIST_NAME not in on_disk:
-        if not windows:
-            newest = SyncDocument(CapabilityKind.CHANGELIST, open_start - timedelta(seconds=1), [])
-        elif pending and pending[-1] is windows[-1]:
-            newest = docs[-1]
-        else:
-            _, start, lo, hi = windows[-1]
-            newest = _window_document(records[lo:hi], start, period)
-        names.append(CURRENT_CHANGELIST_NAME)
-        docs.append(newest)
-    written = write_documents(docs, names, web_root)
+        # With no closed window yet, the empty window just before the open one.
+        newest = windows[-1] if windows else ("", open_start - timedelta(seconds=period), 0, 0)
+        name, start, lo, hi = newest
+        out[CURRENT_CHANGELIST_NAME] = out.get(name) or serialize_document(
+            _window_document(records[lo:hi], start, period)
+        )
+    web_root = Path(web_root)
+    for name, data in out.items():
+        atomic_write_bytes(web_root / name, data)
     log.sealed = open_start
-    return written[: len(pending)] + [Path(web_root) / CURRENT_CHANGELIST_NAME]
+    return [web_root / name for name, *_ in pending] + [web_root / CURRENT_CHANGELIST_NAME]

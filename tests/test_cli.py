@@ -155,7 +155,10 @@ class TestSimulateCommand:
         )
         assert rc == 0
         events = int(capsys.readouterr().out.strip())
-        assert events == len((out / "changelog.tsv").read_text().splitlines())
+        lines = (out / "changelog.tsv").read_text().splitlines()
+        # One line per event, then the seal: the end of the last daily window published.
+        assert events == len(lines) - 1
+        assert lines[-1] == "sealed\t2013-01-02T00:00:00Z"
         assert (out / "resourcelist.xml").exists()
         assert (out / "changelist.xml").exists()
         assert (out / "res").is_dir()

@@ -226,6 +226,25 @@ class TestBaseline:
         assert report.deleted == 0
         assert (store / "stray.bin").exists()
 
+    def test_failed_rename_leaves_no_temp_file(self, site, tmp_path):
+        web, res, handle, res_base = site
+        write_tree(res, {"a.txt": b"alpha", "d0": b"a file"})
+        publish_list(web, res, res_base)
+        store = tmp_path / "store"
+        state = load_state(store / STATE_FILE_NAME)
+        url = handle.url + "resourcelist.xml"
+        baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        # The file d0 becomes a directory; the kept local file d0 blocks the rename.
+        (res / "d0").unlink()
+        write_tree(res, {"d0/x.dat": b"under a new directory"})
+        publish_list(web, res, res_base)
+        for _ in range(2):
+            report = baseline_sync(
+                url, store, state, SyncPolicy(apply_deletes=False), backoff=FAST_BACKOFF
+            )
+            assert report.failed == 1, report.failures
+            assert not list(store.glob(".resync.tmp-*"))
+
     def test_partial_failure_keeps_successes(self, site, tmp_path):
         web, res, handle, res_base = site
         write_tree(res, {"ok.txt": b"fine"})

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sitemapsync import source
 from sitemapsync.codec import parse_document
 from sitemapsync.model import ChangeKind
 from sitemapsync.simulator import (
@@ -199,3 +200,20 @@ class TestPublish:
         assert {e.uri for e in listed.entries} == set(inv.items)
         current = parse_document((web / "changelist.xml").read_bytes())
         assert current.capability.value == "changelist"
+
+    def test_every_published_file_parses_through_a_poll_run(self, tmp_path, monkeypatch):
+        """The source does not validate what it serializes; the destination's parse does."""
+        monkeypatch.setattr(source, "MAX_DOCUMENT_ENTRIES", 8)  # the list is partitioned
+        web = tmp_path / "web"
+        sim_root = web / "res"
+        config = SimConfig(seed=4, n_initial=20, event_rate=1.4, duration=100.0)
+        sim = SourceSimulator(config, sim_root, BASE)
+        capabilities = set()
+        for k in range(1, 11):
+            now = SIM_EPOCH + timedelta(seconds=10 * k)
+            sim.advance(now)
+            publish(sim_root, web, BASE, sim.log, period=10, now=now)
+            for path in web.glob("*.xml"):
+                capabilities.add(parse_document(path.read_bytes()).capability.value)
+        assert capabilities == {"resourcelist", "resourcelist-index", "changelist"}
+        assert len(list(web.glob("changelist-*.xml"))) >= 8

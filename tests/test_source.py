@@ -8,7 +8,7 @@ from pathlib import Path, PurePath
 
 import pytest
 
-from sitemapsync import source
+from sitemapsync import codec, model, simulator, source
 
 from sitemapsync.model import (
     CapabilityKind,
@@ -26,6 +26,7 @@ from sitemapsync.source import (
     generate_resource_list,
     mime_type_for,
     publish_changelists,
+    publish_resource_list,
     scan,
     web_root_uri,
 )
@@ -307,6 +308,62 @@ class TestGenerateResourceList:
             BASE + f"resourcelist-{i}.xml" for i in (1, 2, 3)
         ]
 
+    def test_item_with_a_change_kind_rejected(self):
+        inv = _synthetic_inventory(3)
+        inv.items[BASE + "r0000001"].metadata.change = ChangeKind.UPDATED
+        with pytest.raises(ValueError, match="change kind"):
+            generate_resource_list(inv, datetime(2013, 1, 3, 9, tzinfo=UTC))
+
+    def test_relative_base_uri_rejected(self):
+        inv = _synthetic_inventory(0)
+        inv.base_uri = "res/"
+        with pytest.raises(ValueError, match="not absolute"):
+            generate_resource_list(inv, datetime(2013, 1, 3, 9, tzinfo=UTC))
+
+    @pytest.mark.parametrize(
+        "list_base_uri", ["relative/", "http://example.com/lists"], ids=["relative", "no_slash"]
+    )
+    def test_bad_list_base_uri_rejected_before_any_write(
+        self, tmp_path, monkeypatch, list_base_uri
+    ):
+        monkeypatch.setattr(source, "MAX_DOCUMENT_ENTRIES", 2)
+        web = tmp_path / "web"
+        modified = datetime(2013, 1, 3, 9, tzinfo=UTC)
+        with pytest.raises(ValueError, match="list_base_uri"):
+            publish_resource_list(_synthetic_inventory(5), modified, web, list_base_uri)
+        assert not web.exists()
+
+
+class TestPublishValidatesNothingAgain:
+    """The source publishes what it built from checked data without checking it again."""
+
+    @pytest.mark.parametrize("n_files", [3, 40])
+    def test_publishing_a_settled_tree_validates_no_entry(self, tmp_path, monkeypatch, n_files):
+        web = tmp_path / "web"
+        res = web / "res"
+        write_tree(res, {f"d{i % 4}/f{i}.dat": bytes([i]) * i for i in range(n_files)})
+        monkeypatch.setattr(source, "RACY_MARGIN_NS", 0)
+        t0 = datetime(2013, 1, 1, tzinfo=UTC)
+        log = ChangeLog()
+        for i in range(n_files):
+            meta = ResourceMetadata(digests={"md5": "%032x" % i}, length=i)
+            log.append(t0 + timedelta(seconds=i), BASE + f"res/f{i}", ChangeKind.UPDATED, meta)
+        calls = []
+
+        def counted(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for namespace in (codec, model):
+            monkeypatch.setattr(
+                namespace, "validate_document", counted("document", model.validate_document)
+            )
+        monkeypatch.setattr(ResourceEntry, "validate", counted("entry", ResourceEntry.validate))
+        for k in (1, 2):
+            now = t0 + timedelta(seconds=n_files + 10 * k)
+            simulator.publish(res, web, BASE + "res/", log, 10, now)
+        assert calls == []
+        assert len(parse_document((web / "resourcelist.xml").read_bytes()).entries) == n_files
+
 
 def _brute_force_diff(old_root: Path, new_root: Path):
     """Independent oracle: compare trees via raw os.walk + hashlib."""
@@ -447,6 +504,24 @@ class TestChangeLog:
         ]
         assert loaded.records[0].metadata.digests == {"md5": "0" * 32}
         assert loaded.records[1].metadata.digests == {}
+        assert loaded.sealed is None
+
+    @pytest.mark.parametrize(
+        "uri, digests, length",
+        [
+            ("a", "md5:" + "0" * 32, "1"),  # relative URI
+            (BASE + "a", "md5:" + "0" * 31 + "g", "1"),  # not hex
+            (BASE + "a", "md5:" + "0" * 31 + "A", "1"),  # not lowercase
+            (BASE + "a", "md5:00", "1"),  # wrong length
+            (BASE + "a", "-", "-1"),  # negative length
+        ],
+        ids=["relative_uri", "not_hex", "uppercase_hex", "short_digest", "negative_length"],
+    )
+    def test_invalid_event_rejected_on_load(self, tmp_path, uri, digests, length):
+        path = tmp_path / "log.tsv"
+        path.write_text(f"2013-01-01T12:00:07Z\tupdated\t{uri}\t{digests}\t{length}\n")
+        with pytest.raises(ValueError):
+            ChangeLog.load(path)
 
     def test_digest_without_label_rejected_on_load(self, tmp_path):
         path = tmp_path / "log.tsv"
@@ -642,6 +717,23 @@ class TestPublishWritesEachWindowOnce:
             self._publish(log, tmp_path, 19)
         assert self._kept(tmp_path / "changelist.xml") == kept
         assert log.sealed == self.T0 + timedelta(seconds=20)
+
+    def test_seal_is_kept_across_save_and_load(self, tmp_path):
+        web = tmp_path / "web"
+        log = ChangeLog()
+        self._append(log, 1, 12)
+        self._publish(log, web, 20)
+        log.save(tmp_path / "log.tsv")
+        loaded = ChangeLog.load(tmp_path / "log.tsv")
+        assert loaded.sealed == self.T0 + timedelta(seconds=20)
+        sealed = self._window(web, 12)
+        kept = self._kept(sealed)
+        self._append(loaded, 15)  # falls in the published 10-20 s window
+        self._publish(loaded, web, 30)
+        assert self._kept(sealed) == kept
+        for path in (self._window(web, 20), web / "changelist.xml"):
+            (entry,) = parse_document(path.read_bytes()).entries
+            assert (entry.uri, entry.lastmod) == (BASE + "r15", self.T0 + timedelta(seconds=20))
 
     def test_deleted_window_file_is_written_again(self, tmp_path):
         log = ChangeLog()
