@@ -126,9 +126,6 @@ def _policy(args, cfg) -> SyncPolicy:
         max_parallel_transfers=_opt(
             getattr(args, "parallel", None), cfg, "destination", "max_parallel_transfers", 4, int
         ),
-        verify_digests=_opt(
-            getattr(args, "verify_digests", None), cfg, "destination", "verify_digests", True, bool
-        ),
         stale_wins=_opt(
             getattr(args, "stale_wins", None), cfg, "destination", "stale_wins", False, bool
         ),
@@ -237,26 +234,13 @@ def cmd_changes(args) -> int:
     return _write_documents([doc], out_dir, [CURRENT_CHANGELIST_NAME])
 
 
-def cmd_baseline(args) -> int:
+def _run_sync(args, operation) -> int:
+    """Run ``baseline_sync`` or ``incremental_sync`` into the store and print its report."""
     cfg = _load_ini(args.config)
     policy = _policy(args, cfg)
     state_path = _state_path(args, cfg)
     state = load_state(state_path)
-    report = baseline_sync(
-        args.source, Path(args.store), state, policy, state_path=state_path
-    )
-    _print_report(report, args.format)
-    return EXIT_OK if report.failed == 0 else EXIT_PARTIAL
-
-
-def cmd_sync(args) -> int:
-    cfg = _load_ini(args.config)
-    policy = _policy(args, cfg)
-    state_path = _state_path(args, cfg)
-    state = load_state(state_path)
-    report = incremental_sync(
-        args.source, Path(args.store), state, policy, state_path=state_path
-    )
+    report = operation(args.source, Path(args.store), state, policy, state_path=state_path)
     _print_report(report, args.format)
     return EXIT_OK if report.failed == 0 else EXIT_PARTIAL
 
@@ -371,18 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallel", type=int, help="max parallel transfers")
         p.add_argument("--no-delete", dest="apply_deletes", action="store_false", default=None,
                        help="keep local files the source no longer lists")
-        p.add_argument("--no-verify", dest="verify_digests", action="store_false", default=None,
-                       help="skip digest verification of downloads")
         p.add_argument("--stale-wins", dest="stale_wins", action="store_true", default=None,
                        help="apply change entries even when older than the local copy")
 
     p = sub.add_parser("baseline", parents=[common], help="full synchronization from a resource list")
     add_dest_args(p)
-    p.set_defaults(func=cmd_baseline)
+    p.set_defaults(func=lambda args: _run_sync(args, baseline_sync))
 
     p = sub.add_parser("sync", parents=[common], help="incremental synchronization from a change list")
     add_dest_args(p)
-    p.set_defaults(func=cmd_sync)
+    p.set_defaults(func=lambda args: _run_sync(args, incremental_sync))
 
     p = sub.add_parser("audit", parents=[common], help="verify the store against a resource list")
     add_dest_args(p)

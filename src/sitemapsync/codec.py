@@ -9,8 +9,9 @@ per-entry ``<rs:md>`` may carry ``change``, ``hash`` (whitespace-separated
 
 Serialization is canonical: structurally equal documents produce identical
 octet sequences. Parsing ignores unknown elements and attributes.
-``parse_document`` validates every document read; ``serialize_document``
-trusts its caller, which builds documents from data checked where it entered.
+The codec owns document checks: ``parse_document`` checks each entry against
+its document's capability as it parses it. ``serialize_document`` trusts its
+caller, which builds documents from data checked where it entered.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .model import (
     ValidationError,
     format_w3c_datetime,
     parse_w3c_datetime,
-    validate_document,
 )
 
 SITEMAP_NS = "http://www.sitemaps.org/schemas/sitemap/0.9"
@@ -50,19 +50,6 @@ ERROR_KINDS = frozenset(
         "entry_in_index",
     }
 )
-
-# ValidationError codes that have a dedicated CodecError kind; everything
-# else is a structural violation reported as malformed_xml.
-_VALIDATION_KIND_MAP = {
-    "duplicate_uri": "duplicate_uri",
-    "oversize_document": "oversize_document",
-    "entry_in_index": "entry_in_index",
-    "bad_uri": "bad_uri",
-    "bad_datetime": "bad_datetime",
-    "missing_lastmod": "bad_datetime",
-    "unknown_capability": "unknown_capability",
-}
-
 
 class CodecError(Exception):
     """A document failed to parse or serialize; ``kind`` names the violation."""
@@ -133,10 +120,42 @@ def _parse_entry(elem: ET.Element, entry_tag: str) -> ResourceEntry:
     return ResourceEntry(uri=loc, lastmod=lastmod, metadata=meta)
 
 
+def _check_entry(
+    entry: ResourceEntry, prev: ResourceEntry | None, seen: set[str], index: bool, changelist: bool
+) -> None:
+    """Check a parsed entry, which follows ``prev``, against the rules of its
+    document: an ``index``, a ``changelist`` or else a resource list. ``seen``
+    collects the URIs of a resource list or index."""
+    try:
+        entry.validate()
+    except ValidationError as exc:
+        kind = "bad_uri" if exc.code == "bad_uri" else "malformed_xml"
+        raise CodecError(kind, exc.message) from None
+    meta = entry.metadata
+    if changelist:
+        # Change lists are event streams: a URI may repeat, in lastmod order.
+        if meta.change is None:
+            raise CodecError("malformed_xml", f"change list entry {entry.uri} lacks a change kind")
+        if entry.lastmod is None:
+            raise CodecError("bad_datetime", f"change list entry {entry.uri} lacks lastmod")
+        if prev is not None and entry.lastmod < prev.lastmod:
+            raise CodecError("malformed_xml", f"change list entry {entry.uri} out of lastmod order")
+        return
+    if index:
+        if meta.change is not None or meta.digests:
+            raise CodecError("entry_in_index", f"index member {entry.uri} has a change or hash")
+    elif meta.change is not None:
+        raise CodecError("malformed_xml", f"resource list entry {entry.uri} carries a change kind")
+    if entry.uri in seen:
+        raise CodecError("duplicate_uri", f"duplicate URI: {entry.uri}")
+    seen.add(entry.uri)
+
+
 def parse_document(data: bytes) -> SyncDocument:
     """Parse a resource list, change list, or index document.
 
-    Raises CodecError; the resulting document has passed full validation.
+    Raises CodecError naming the first violation in document order; the
+    50,000-entry cap is checked before any entry is parsed.
     """
     try:
         data.decode("utf-8")
@@ -181,16 +200,19 @@ def parse_document(data: bytes) -> SyncDocument:
     except ValidationError as exc:
         raise CodecError("bad_datetime", exc.message) from None
 
-    entries = [
-        _parse_entry(elem, entry_tag) for elem in root if _local_tag(elem.tag, entry_tag)
-    ]
-
-    doc = SyncDocument(capability=capability, modified=modified, entries=entries)
-    try:
-        validate_document(doc)
-    except ValidationError as exc:
-        raise CodecError(_VALIDATION_KIND_MAP.get(exc.code, "malformed_xml"), exc.message) from None
-    return doc
+    elems = [elem for elem in root if _local_tag(elem.tag, entry_tag)]
+    if not capability.is_index and len(elems) > MAX_DOCUMENT_ENTRIES:
+        raise CodecError(
+            "oversize_document", f"{len(elems)} entries exceed the {MAX_DOCUMENT_ENTRIES} cap"
+        )
+    changelist = capability == CapabilityKind.CHANGELIST
+    entries: list[ResourceEntry] = []
+    seen: set[str] = set()
+    for elem in elems:
+        entry = _parse_entry(elem, entry_tag)
+        _check_entry(entry, entries[-1] if entries else None, seen, is_index_root, changelist)
+        entries.append(entry)
+    return SyncDocument(capability=capability, modified=modified, entries=entries)
 
 
 def _attr(value: str) -> str:

@@ -59,7 +59,6 @@ class SyncPolicy:
 
     apply_deletes: bool = True
     max_parallel_transfers: int = 4
-    verify_digests: bool = True
     # When False, a change entry older than the locally recorded lastmod is
     # skipped (last writer wins); when True the entry is applied anyway.
     stale_wins: bool = False
@@ -438,7 +437,7 @@ def _apply(
     def download(uri: str):
         path, entry, _, _ = plan.downloads[uri]
         listed = _pick_listed_digest(entry)
-        expected = f"{listed[0]}:{listed[1]}" if policy.verify_digests and listed else None
+        expected = f"{listed[0]}:{listed[1]}" if listed else None
         return _download_resource(
             uri, store_dir / path, store_dir, expected, timeout=timeout, backoff=backoff
         )

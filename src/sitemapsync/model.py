@@ -1,8 +1,9 @@
 """Domain types shared by the source and destination engines.
 
-Pure data definitions plus validation; no I/O happens here. All instants
-are timezone-aware UTC datetimes truncated to second precision, and they
-serialize as ``YYYY-MM-DDThh:mm:ssZ`` exactly.
+Pure data definitions plus the entry checks (``ResourceEntry.validate``);
+the codec owns document checks, which it makes as it parses. No I/O happens
+here. All instants are timezone-aware UTC datetimes truncated to second
+precision, and they serialize as ``YYYY-MM-DDThh:mm:ssZ`` exactly.
 """
 
 from __future__ import annotations
@@ -154,66 +155,6 @@ class SyncDocument:
     entries: list[ResourceEntry] = field(default_factory=list)
 
 
-def validate_document(doc: SyncDocument) -> None:
-    """Check every SyncDocument invariant; raise ValidationError on the first violation.
-
-    Invoked on parse. The source checks its data where it enters instead
-    (``ChangeLog.append``, ``Inventory.validate``), not before serialization.
-    """
-    if not isinstance(doc.capability, CapabilityKind):
-        raise ValidationError("unknown_capability", f"unknown capability: {doc.capability!r}")
-    if doc.modified.tzinfo is None:
-        raise ValidationError("bad_datetime", "document modified instant must be UTC-aware")
-
-    is_index = doc.capability.is_index
-    if not is_index and len(doc.entries) > MAX_DOCUMENT_ENTRIES:
-        raise ValidationError(
-            "oversize_document",
-            f"{len(doc.entries)} entries exceed the {MAX_DOCUMENT_ENTRIES} cap",
-        )
-
-    for entry in doc.entries:
-        entry.validate()
-        if is_index and (entry.metadata.change is not None or entry.metadata.digests):
-            raise ValidationError(
-                "entry_in_index",
-                f"index member {entry.uri} carries resource-level attributes",
-            )
-
-    if doc.capability == CapabilityKind.RESOURCELIST:
-        for entry in doc.entries:
-            if entry.metadata.change is not None:
-                raise ValidationError(
-                    "unexpected_change",
-                    f"resource list entry {entry.uri} carries a change kind",
-                )
-    elif doc.capability == CapabilityKind.CHANGELIST:
-        prev: datetime | None = None
-        for entry in doc.entries:
-            if entry.metadata.change is None:
-                raise ValidationError(
-                    "missing_change", f"change list entry {entry.uri} lacks a change kind"
-                )
-            if entry.lastmod is None:
-                raise ValidationError(
-                    "missing_lastmod", f"change list entry {entry.uri} lacks lastmod"
-                )
-            if prev is not None and entry.lastmod < prev:
-                raise ValidationError(
-                    "bad_order", f"change list entries out of lastmod order at {entry.uri}"
-                )
-            prev = entry.lastmod
-
-    # Change lists are event streams and may repeat a URI; snapshot-like
-    # documents (resource lists and indexes) may not.
-    if doc.capability != CapabilityKind.CHANGELIST:
-        seen: set[str] = set()
-        for entry in doc.entries:
-            if entry.uri in seen:
-                raise ValidationError("duplicate_uri", f"duplicate URI: {entry.uri}")
-            seen.add(entry.uri)
-
-
 @dataclass
 class Inventory:
     """Snapshot of a local resource tree keyed by canonical URI."""
@@ -287,13 +228,6 @@ class SyncReport:
     failed: int = 0
     bytes_transferred: int = 0
     failures: list[tuple[str, str]] = field(default_factory=list)
-
-    def validate(self) -> None:
-        for name in ("created", "updated", "deleted", "skipped", "failed", "bytes_transferred"):
-            if getattr(self, name) < 0:
-                raise ValidationError("bad_count", f"{name} is negative")
-        if self.failed != len(self.failures):
-            raise ValidationError("bad_count", "failed count disagrees with failures list")
 
     def to_dict(self) -> dict:
         return {

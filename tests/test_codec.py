@@ -3,6 +3,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from sitemapsync import codec
 from sitemapsync.codec import (
     CodecError,
     parse_document,
@@ -343,3 +344,108 @@ class TestSerialization:
             b"<loc>http://example.com/res2</loc></url></urlset>"
         )
         assert parse_document(compact) == parse_document(RESOURCE_LIST_XML)
+
+
+A = "http://example.com/a"
+B = "http://example.com/b"
+T0 = "2013-01-02T12:00:00Z"
+T1 = "2013-01-02T13:00:00Z"
+MD5 = "0" * 32
+
+
+def _entry(loc, lastmod=None, md=""):
+    """The inner XML of one entry element."""
+    lastmod = f"<lastmod>{lastmod}</lastmod>" if lastmod else ""
+    md = f"<rs:md {md}/>" if md else ""
+    return f"<loc>{loc}</loc>{lastmod}{md}"
+
+
+def _document(capability, entries):
+    """A document of ``capability`` holding one entry element per inner XML."""
+    root, tag = ("sitemapindex", "sitemap") if capability.endswith("-index") else ("urlset", "url")
+    body = "".join(f"<{tag}>{entry}</{tag}>" for entry in entries)
+    return (
+        f'<?xml version="1.0" encoding="UTF-8"?>'
+        f'<{root} xmlns="http://www.sitemaps.org/schemas/sitemap/0.9" '
+        f'xmlns:rs="http://www.openarchives.org/rs/terms/">'
+        f'<rs:md capability="{capability}" modified="2013-01-03T09:00:00Z"/>{body}</{root}>'
+    ).encode()
+
+
+# One row per check a parsed entry must pass; kind None means the document is accepted.
+ENTRY_CHECKS = [
+    pytest.param("resourcelist", [_entry(A), _entry("/res1")], "bad_uri", id="relative_uri"),
+    pytest.param(
+        "resourcelist", [_entry(A, md=f'hash="md5:{"G" * 32}"')], "malformed_xml",
+        id="digest_not_hex",
+    ),
+    pytest.param(
+        "resourcelist", [_entry(A, md=f'hash="md5:{"0" * 31}"')], "malformed_xml",
+        id="digest_wrong_length",
+    ),
+    pytest.param(
+        "resourcelist", [_entry(A, md='length="-1"')], "malformed_xml", id="negative_length"
+    ),
+    pytest.param("resourcelist", [_entry(A, md='type=""')], "malformed_xml", id="empty_type"),
+    pytest.param(
+        "resourcelist-index", [_entry(A, T1, 'change="updated"')], "entry_in_index",
+        id="index_member_with_change",
+    ),
+    pytest.param(
+        "changelist-index", [_entry(A, T1, f'hash="md5:{MD5}"')], "entry_in_index",
+        id="index_member_with_hash",
+    ),
+    pytest.param(
+        "resourcelist", [_entry(A, md='change="updated"')], "malformed_xml",
+        id="resourcelist_entry_with_change",
+    ),
+    pytest.param(
+        "changelist", [_entry(A, T1)], "malformed_xml", id="changelist_entry_without_change"
+    ),
+    pytest.param(
+        "changelist", [_entry(A, md='change="updated"')], "bad_datetime",
+        id="changelist_entry_without_lastmod",
+    ),
+    pytest.param(
+        "changelist", [_entry(A, T1, 'change="updated"'), _entry(B, T0, 'change="updated"')],
+        "malformed_xml", id="changelist_out_of_order",
+    ),
+    pytest.param(
+        "resourcelist", [_entry(A), _entry(B), _entry(A)], "duplicate_uri",
+        id="resourcelist_repeats_uri",
+    ),
+    pytest.param(
+        "resourcelist-index", [_entry(A), _entry(A)], "duplicate_uri", id="index_repeats_uri"
+    ),
+    pytest.param(
+        "changelist", [_entry(A, T1, 'change="created"'), _entry(A, T1, 'change="updated"')], None,
+        id="changelist_repeats_uri",
+    ),
+]
+
+
+class TestEntryChecks:
+    """Each violation is rejected at the parse boundary with its own kind."""
+
+    @pytest.mark.parametrize("capability, entries, kind", ENTRY_CHECKS)
+    def test_violation_kind(self, capability, entries, kind):
+        data = _document(capability, entries)
+        if kind is None:
+            assert len(parse_document(data).entries) == len(entries)
+            return
+        with pytest.raises(CodecError) as exc:
+            parse_document(data)
+        assert exc.value.kind == kind
+
+    def test_first_violation_in_document_order_is_reported(self):
+        data = _document("resourcelist", [_entry(A), _entry(A), _entry("/res1")])
+        with pytest.raises(CodecError) as exc:
+            parse_document(data)
+        assert exc.value.kind == "duplicate_uri"
+
+    def test_cap_is_checked_before_any_entry_is_parsed(self, monkeypatch):
+        monkeypatch.setattr(codec, "MAX_DOCUMENT_ENTRIES", 2)
+        data = _document("resourcelist", [_entry(f"{A}{i}", "not a date") for i in range(3)])
+        with pytest.raises(CodecError) as exc:
+            parse_document(data)
+        assert exc.value.kind == "oversize_document"

@@ -66,35 +66,35 @@ def test_only_source_quotes_uri_segments(path):
         assert not names & {"quote", "unquote"}
 
 
-def validate_document_callers(source: str) -> set[str]:
-    """Names of the functions in a module that call ``validate_document``."""
+def check_entry_callers(source: str) -> set[str]:
+    """Names of the functions in a module that call ``_check_entry``."""
     callers = set()
     for func in ast.walk(ast.parse(source)):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
                 if isinstance(node, ast.Call) and (
-                    getattr(node.func, "id", None) == "validate_document"
-                    or getattr(node.func, "attr", None) == "validate_document"
+                    getattr(node.func, "id", None) == "_check_entry"
+                    or getattr(node.func, "attr", None) == "_check_entry"
                 ):
                     callers.add(func.name)
     return callers
 
 
-def test_finds_validate_document_callers():
+def test_finds_check_entry_callers():
     source = (
-        "def a(doc):\n    validate_document(doc)\n"
-        "def b(doc):\n    model.validate_document(doc)\n"
-        "def c(doc):\n    return doc\n"
+        "def a(entry):\n    _check_entry(entry)\n"
+        "def b(entry):\n    codec._check_entry(entry)\n"
+        "def c(entry):\n    return entry\n"
     )
-    assert validate_document_callers(source) == {"a", "b"}
+    assert check_entry_callers(source) == {"a", "b"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_parse_document_validates_documents(path):
-    """Documents are checked where they enter: when a destination parses one.
+    """Documents are checked where they enter: each entry as a destination parses it.
 
     The source builds its documents from data checked where it entered
     (``ChangeLog.append``, ``Inventory.validate``) and does not check them again.
     """
     expected = {"parse_document"} if path.name == "codec.py" else set()
-    assert validate_document_callers(path.read_text(encoding="utf-8")) == expected
+    assert check_entry_callers(path.read_text(encoding="utf-8")) == expected

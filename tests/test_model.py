@@ -4,15 +4,12 @@ import pytest
 
 from sitemapsync.model import (
     CapabilityKind,
-    ChangeKind,
     ResourceEntry,
     ResourceMetadata,
     SyncDocument,
-    SyncReport,
     ValidationError,
     format_w3c_datetime,
     parse_w3c_datetime,
-    validate_document,
 )
 
 UTC = timezone.utc
@@ -70,78 +67,14 @@ class TestMetadata:
 
 
 class TestDocumentInvariants:
+    """Documents compare by structure; the codec checks them as it parses
+    (``test_codec.TestEntryChecks``)."""
+
     def _doc(self, capability, entries):
         return SyncDocument(capability, datetime(2013, 1, 3, 9, tzinfo=UTC), entries)
-
-    def test_resourcelist_unique_uris(self):
-        entries = [ResourceEntry("http://example.com/a"), ResourceEntry("http://example.com/a")]
-        with pytest.raises(ValidationError) as exc:
-            validate_document(self._doc(CapabilityKind.RESOURCELIST, entries))
-        assert exc.value.code == "duplicate_uri"
-
-    def test_changelist_may_repeat_uris(self):
-        t = datetime(2013, 1, 2, 13, tzinfo=UTC)
-        entries = [
-            ResourceEntry("http://example.com/a", t, ResourceMetadata(change=ChangeKind.CREATED)),
-            ResourceEntry("http://example.com/a", t, ResourceMetadata(change=ChangeKind.UPDATED)),
-        ]
-        validate_document(self._doc(CapabilityKind.CHANGELIST, entries))
-
-    def test_changelist_requires_change_and_lastmod(self):
-        t = datetime(2013, 1, 2, 13, tzinfo=UTC)
-        with pytest.raises(ValidationError):
-            validate_document(
-                self._doc(CapabilityKind.CHANGELIST, [ResourceEntry("http://example.com/a", t)])
-            )
-        with pytest.raises(ValidationError):
-            validate_document(
-                self._doc(
-                    CapabilityKind.CHANGELIST,
-                    [
-                        ResourceEntry(
-                            "http://example.com/a",
-                            None,
-                            ResourceMetadata(change=ChangeKind.UPDATED),
-                        )
-                    ],
-                )
-            )
-
-    def test_changelist_ordering_enforced(self):
-        t1 = datetime(2013, 1, 2, 13, tzinfo=UTC)
-        t0 = datetime(2013, 1, 2, 12, tzinfo=UTC)
-        entries = [
-            ResourceEntry("http://example.com/a", t1, ResourceMetadata(change=ChangeKind.UPDATED)),
-            ResourceEntry("http://example.com/b", t0, ResourceMetadata(change=ChangeKind.UPDATED)),
-        ]
-        with pytest.raises(ValidationError) as exc:
-            validate_document(self._doc(CapabilityKind.CHANGELIST, entries))
-        assert exc.value.code == "bad_order"
-
-    def test_resourcelist_rejects_change_kind(self):
-        entries = [
-            ResourceEntry(
-                "http://example.com/a", metadata=ResourceMetadata(change=ChangeKind.UPDATED)
-            )
-        ]
-        with pytest.raises(ValidationError):
-            validate_document(self._doc(CapabilityKind.RESOURCELIST, entries))
-
-    def test_relative_uri_rejected(self):
-        with pytest.raises(ValidationError) as exc:
-            validate_document(self._doc(CapabilityKind.RESOURCELIST, [ResourceEntry("/res1")]))
-        assert exc.value.code == "bad_uri"
 
     def test_structural_equality(self):
         a = self._doc(CapabilityKind.RESOURCELIST, [ResourceEntry("http://example.com/a")])
         b = self._doc(CapabilityKind.RESOURCELIST, [ResourceEntry("http://example.com/a")])
         assert a == b
 
-
-class TestSyncReport:
-    def test_failed_count_matches_failures(self):
-        report = SyncReport(failed=1, failures=[("http://example.com/a", "boom")])
-        report.validate()
-        report.failed = 2
-        with pytest.raises(ValidationError):
-            report.validate()

@@ -8,7 +8,7 @@ from pathlib import Path, PurePath
 
 import pytest
 
-from sitemapsync import codec, model, simulator, source
+from sitemapsync import simulator, source
 
 from sitemapsync.model import (
     CapabilityKind,
@@ -353,10 +353,6 @@ class TestPublishValidatesNothingAgain:
         def counted(name, real):
             return lambda *args: calls.append(name) or real(*args)
 
-        for namespace in (codec, model):
-            monkeypatch.setattr(
-                namespace, "validate_document", counted("document", model.validate_document)
-            )
         monkeypatch.setattr(ResourceEntry, "validate", counted("entry", ResourceEntry.validate))
         for k in (1, 2):
             now = t0 + timedelta(seconds=n_files + 10 * k)
