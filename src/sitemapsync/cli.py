@@ -70,6 +70,21 @@ EXIT_USAGE = 64
 logger = logging.getLogger(__name__)
 
 
+# Every config key a command reads, per INI section; any other is a usage error.
+CONFIG_KEYS = {
+    "source": {"root", "base_uri", "digests", "excludes", "period"},
+    "destination": {"apply_deletes", "max_parallel_transfers", "stale_wins", "state"},
+    "simulator": {
+        "seed", "n_initial", "event_rate", "p_create", "p_update", "p_delete",
+        "body_min", "body_max", "duration", "burst_size", "base_uri",
+    },
+}
+
+
+class _UsageError(Exception):
+    """The command line or config file asks for something no command reads."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 64, not argparse's 2
         self.print_usage(sys.stderr)
@@ -82,10 +97,17 @@ def _error_line(message: str) -> None:
 
 
 def _load_ini(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    # No default section: a [DEFAULT] header is checked like any other section.
+    cfg = configparser.ConfigParser(default_section="")
     if path:
         with open(path, encoding="utf-8") as fh:
             cfg.read_file(fh)
+    for section in cfg.sections():
+        if section not in CONFIG_KEYS:
+            raise _UsageError(f"unknown section [{section}] in {path}")
+        for key in cfg.options(section):
+            if key not in CONFIG_KEYS[section]:
+                raise _UsageError(f"unknown key {key!r} in [{section}] of {path}")
     return cfg
 
 
@@ -400,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except _UsageError as exc:
+        _error_line(f"usage: {exc}")
+        return EXIT_USAGE
     except BaselineRequiredError as exc:
         _error_line(f"BaselineRequiredError: {exc}")
         return EXIT_BASELINE_REQUIRED

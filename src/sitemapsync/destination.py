@@ -202,15 +202,13 @@ def _sync_run(store_dir: Path, state: DestinationState, state_path: Path | None)
         os.close(fd)
 
 
-def _fetch_entries(
-    document_uri: str, expect_entry_capability: CapabilityKind, *, timeout: float, backoff
-) -> tuple:
+def _fetch_entries(document_uri: str, expect_entry_capability: CapabilityKind) -> tuple:
     """Fetch a list document, following an index to its members if needed.
 
     Returns (modified, entries). For change lists, entries from multiple
     members are merged in lastmod order (stable).
     """
-    root = parse_document(fetch(document_uri, timeout=timeout, backoff=backoff).body)
+    root = parse_document(fetch(document_uri).body)
     if root.capability == expect_entry_capability:
         return root.modified, list(root.entries)
     expected_index = (
@@ -225,7 +223,7 @@ def _fetch_entries(
         )
     entries: list[ResourceEntry] = []
     for member in root.entries:
-        doc = parse_document(fetch(member.uri, timeout=timeout, backoff=backoff).body)
+        doc = parse_document(fetch(member.uri).body)
         if doc.capability != expect_entry_capability:
             raise SyncError(
                 f"index member {member.uri} has capability {doc.capability.value}"
@@ -260,20 +258,22 @@ def _pick_listed_digest(entry: ResourceEntry) -> tuple[str, str] | None:
     return None
 
 
-def _download_resource(
-    uri: str, final_path: Path, store_dir: Path, expected: str | None, *, timeout, backoff
-) -> tuple[int, str]:
-    """Download to a temp file in the store root, verify, atomically rename.
+def _download_resource(entry: ResourceEntry, final_path: Path, store_dir: Path) -> tuple[int, str]:
+    """Download to a temp file in the store root, verify against the entry's
+    listed digest, atomically rename.
 
     A digest mismatch is retried once before failing. The temp file is
     removed on any failure, the final rename's included.
     """
+    uri = entry.uri
+    listed = _pick_listed_digest(entry)
+    expected = f"{listed[0]}:{listed[1]}" if listed else None
     attempts = 2 if expected is not None else 1
     for attempt in range(attempts):
         fd, tmp = tempfile.mkstemp(dir=store_dir, prefix=RESERVED_PREFIX + ".tmp-")
         os.close(fd)
         try:
-            length, digest = download_to(uri, tmp, expected, timeout=timeout, backoff=backoff)
+            length, digest = download_to(uri, tmp, expected)
             final_path.parent.mkdir(parents=True, exist_ok=True)
             os.replace(tmp, final_path)
             return length, digest
@@ -401,9 +401,7 @@ def _plan_changes(
 
 # --- apply ---------------------------------------------------------------------
 
-def _apply(
-    plan: _Plan, store_dir: Path, state: DestinationState, policy: SyncPolicy, *, timeout, backoff
-) -> SyncReport:
+def _apply(plan: _Plan, store_dir: Path, state: DestinationState, policy: SyncPolicy) -> SyncReport:
     """Carry out a plan: record kept copies, delete, then download in a pool.
 
     An unmappable URI raises before anything is touched. Each action counts
@@ -434,17 +432,12 @@ def _apply(
         except OSError:
             pass
 
-    def download(uri: str):
-        path, entry, _, _ = plan.downloads[uri]
-        listed = _pick_listed_digest(entry)
-        expected = f"{listed[0]}:{listed[1]}" if listed else None
-        return _download_resource(
-            uri, store_dir / path, store_dir, expected, timeout=timeout, backoff=backoff
-        )
-
     # While transfers are in flight this thread only collects their results.
     with ThreadPoolExecutor(max_workers=policy.max_parallel_transfers) as pool:
-        futures = {pool.submit(download, uri): uri for uri in plan.downloads}
+        futures = {
+            pool.submit(_download_resource, entry, store_dir / path, store_dir): uri
+            for uri, (path, entry, _, _) in plan.downloads.items()
+        }
         for future in as_completed(futures):
             uri = futures[future]
             path, _, lastmod, kinds = plan.downloads[uri]
@@ -475,8 +468,6 @@ def baseline_sync(
     policy: SyncPolicy | None = None,
     *,
     state_path: Path | None = None,
-    timeout: float = 30.0,
-    backoff: tuple[float, ...] | None = None,
 ) -> SyncReport:
     """Align the store with the source's full resource list.
 
@@ -489,12 +480,10 @@ def baseline_sync(
     policy = policy or SyncPolicy()
     store_dir = Path(store_dir)
     with _sync_run(store_dir, state, state_path):
-        modified, entries = _fetch_entries(
-            resource_list_uri, CapabilityKind.RESOURCELIST, timeout=timeout, backoff=backoff
-        )
+        modified, entries = _fetch_entries(resource_list_uri, CapabilityKind.RESOURCELIST)
         state.source_id = resource_list_uri
         plan = _plan_list(entries, modified, state, store_dir)
-        return _apply(plan, store_dir, state, policy, timeout=timeout, backoff=backoff)
+        return _apply(plan, store_dir, state, policy)
 
 
 def incremental_sync(
@@ -504,8 +493,6 @@ def incremental_sync(
     policy: SyncPolicy | None = None,
     *,
     state_path: Path | None = None,
-    timeout: float = 30.0,
-    backoff: tuple[float, ...] | None = None,
 ) -> SyncReport:
     """Apply a change list: download created/updated entries, remove deleted.
 
@@ -520,11 +507,9 @@ def incremental_sync(
     policy = policy or SyncPolicy()
     store_dir = Path(store_dir)
     with _sync_run(store_dir, state, state_path):
-        modified, entries = _fetch_entries(
-            changelist_uri, CapabilityKind.CHANGELIST, timeout=timeout, backoff=backoff
-        )
+        modified, entries = _fetch_entries(changelist_uri, CapabilityKind.CHANGELIST)
         plan = _plan_changes(entries, modified, state, policy)
-        return _apply(plan, store_dir, state, policy, timeout=timeout, backoff=backoff)
+        return _apply(plan, store_dir, state, policy)
 
 
 def audit(
@@ -532,9 +517,6 @@ def audit(
     store_dir: Path,
     state: DestinationState,
     policy: SyncPolicy | None = None,
-    *,
-    timeout: float = 30.0,
-    backoff: tuple[float, ...] | None = None,
 ) -> AuditReport:
     """Read-only comparison of the store against the source's resource list.
 
@@ -544,9 +526,7 @@ def audit(
     transferred and nothing is mutated: this is baseline's plan, not applied.
     """
     store_dir = Path(store_dir)
-    modified, entries = _fetch_entries(
-        resource_list_uri, CapabilityKind.RESOURCELIST, timeout=timeout, backoff=backoff
-    )
+    modified, entries = _fetch_entries(resource_list_uri, CapabilityKind.RESOURCELIST)
     plan = _plan_list(entries, modified, state, store_dir)
     stale = set(plan.stale)
     report = AuditReport(in_sync=len(plan.keep), stale=plan.stale)

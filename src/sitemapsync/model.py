@@ -101,7 +101,10 @@ def as_utc_instant(dt: datetime) -> datetime:
 
 
 def is_absolute_uri(uri: str) -> bool:
-    parts = urlsplit(uri)
+    try:
+        parts = urlsplit(uri)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        return False
     return bool(parts.scheme) and bool(parts.netloc)
 
 

@@ -72,29 +72,19 @@ def _session() -> requests.Session:
     return sess
 
 
-def _get_with_retries(
-    uri: str,
-    headers: dict[str, str],
-    stream: bool,
-    timeout: float,
-    backoff: tuple[float, ...] | None,
-) -> requests.Response:
-    """GET with ≤5 redirects; retry transient failures (5xx, transport errors).
+def _get_with_retries(uri: str, headers: dict[str, str]) -> requests.Response:
+    """Streaming GET with ≤5 redirects; retry transient failures (5xx, transport errors).
 
-    4xx responses are returned to the caller without retries. ``backoff``
-    None means ``DEFAULT_BACKOFF`` as it is when the call is made; an empty
-    tuple means no retries.
+    4xx responses are returned to the caller without retries. The timeout
+    and retry schedule are ``DEFAULT_TIMEOUT`` and ``DEFAULT_BACKOFF`` as
+    they are when the call is made; an empty schedule means no retries.
     """
-    if backoff is None:
-        backoff = DEFAULT_BACKOFF
     last_error: str = "no attempt made"
-    for attempt in range(len(backoff) + 1):
-        if attempt > 0:
-            time.sleep(backoff[attempt - 1])
+    for attempt, delay in enumerate((0.0, *DEFAULT_BACKOFF)):
+        if delay:
+            time.sleep(delay)
         try:
-            resp = _session().get(
-                uri, headers=headers, stream=stream, timeout=timeout, allow_redirects=True
-            )
+            resp = _session().get(uri, headers=headers, stream=True, timeout=DEFAULT_TIMEOUT)
         except requests.TooManyRedirects:
             raise TransportError(f"more than {MAX_REDIRECTS} redirects fetching {uri}") from None
         except requests.RequestException as exc:
@@ -109,14 +99,7 @@ def _get_with_retries(
     raise TransportError(last_error)
 
 
-def fetch(
-    uri: str,
-    cached: FetchResult | None = None,
-    *,
-    timeout: float = DEFAULT_TIMEOUT,
-    backoff: tuple[float, ...] | None = None,
-    max_bytes: int = MAX_DOCUMENT_BYTES,
-) -> FetchResult:
+def fetch(uri: str, cached: FetchResult | None = None) -> FetchResult:
     """GET a document, conditionally when a cached result provides validators.
 
     On 304 the returned body is reproduced from ``cached`` and
@@ -130,7 +113,7 @@ def fetch(
             headers["If-Modified-Since"] = email.utils.format_datetime(
                 cached.last_modified.astimezone(timezone.utc), usegmt=True
             )
-    resp = _get_with_retries(uri, headers, stream=True, timeout=timeout, backoff=backoff)
+    resp = _get_with_retries(uri, headers)
     with resp:
         if resp.status_code == 304:
             if cached is None:
@@ -147,8 +130,8 @@ def fetch(
         body = bytearray()
         for chunk in resp.iter_content(_CHUNK):
             body += chunk
-            if len(body) > max_bytes:
-                raise TransportError(f"document at {uri} exceeds {max_bytes} bytes")
+            if len(body) > MAX_DOCUMENT_BYTES:
+                raise TransportError(f"document at {uri} exceeds {MAX_DOCUMENT_BYTES} bytes")
         last_modified = None
         if resp.headers.get("Last-Modified"):
             try:
@@ -163,14 +146,7 @@ def fetch(
         )
 
 
-def download_to(
-    uri: str,
-    temp_path: Path,
-    expected_digest: str | None = None,
-    *,
-    timeout: float = DEFAULT_TIMEOUT,
-    backoff: tuple[float, ...] | None = None,
-) -> tuple[int, str]:
+def download_to(uri: str, temp_path: Path, expected_digest: str | None = None) -> tuple[int, str]:
     """Stream a resource body to ``temp_path``, hashing incrementally.
 
     Returns (length, "algo:hex"). The digest algorithm comes from
@@ -185,7 +161,7 @@ def download_to(
             algo, expected_hex = DEFAULT_ALGORITHM, None
         hasher = new_hasher(algo)
         length = 0
-        resp = _get_with_retries(uri, {}, stream=True, timeout=timeout, backoff=backoff)
+        resp = _get_with_retries(uri, {})
         with resp:
             if resp.status_code >= 400:
                 raise TransportError(f"HTTP {resp.status_code} fetching {uri}", resp.status_code)
@@ -326,7 +302,7 @@ class ServerHandle:
 
 def serve(
     root_dir: Path,
-    bind_address: str | tuple[str, int] = "127.0.0.1:0",
+    bind_address: str = "127.0.0.1:0",
     *,
     handler_cls: type[FileRequestHandler] | None = None,
 ) -> ServerHandle:
@@ -337,17 +313,13 @@ def serve(
     root_dir = Path(root_dir)
     if not root_dir.is_dir():
         raise FileNotFoundError(f"server root is not a directory: {root_dir}")
-    if isinstance(bind_address, str):
-        host, _, port_s = bind_address.rpartition(":")
-        if not host:
-            raise ValueError(f"bind address must be host:port, got {bind_address!r}")
-        address = (host, int(port_s))
-    else:
-        address = bind_address
+    host, _, port_s = bind_address.rpartition(":")
+    if not host:
+        raise ValueError(f"bind address must be host:port, got {bind_address!r}")
 
     cls = handler_cls or FileRequestHandler
     handler = type(cls.__name__, (cls,), {"root_dir": root_dir})
-    server = _QuietHTTPServer(address, handler)
+    server = _QuietHTTPServer((host, int(port_s)), handler)
     server.daemon_threads = True
     thread = threading.Thread(target=server.serve_forever, args=(SERVE_POLL_INTERVAL,),
                               name="sitemapsync-serve", daemon=True)

@@ -9,6 +9,12 @@ from sitemapsync import transport
 FAST_BACKOFF = (0.01, 0.02)
 
 
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    """Every in-process transfer retries on the short schedule."""
+    monkeypatch.setattr(transport, "DEFAULT_BACKOFF", FAST_BACKOFF)
+
+
 def write_tree(root: Path, files: dict[str, bytes]) -> None:
     for rel, body in files.items():
         path = root / rel

@@ -44,7 +44,7 @@ from sitemapsync.source import (
 )
 from sitemapsync.transport import FileRequestHandler
 
-from conftest import FAST_BACKOFF, read_tree, set_tree_mtimes, write_tree
+from conftest import read_tree, set_tree_mtimes, write_tree
 from docgen import random_document
 from test_codec import CHANGE_LIST_XML, RESOURCE_LIST_XML
 
@@ -173,9 +173,7 @@ def test_criterion_04_end_to_end_convergence(tmp_path, http_server):
 
     publish(res, web, res_base, sim.log, period, now=t0)
     state = load_state(store / STATE_FILE_NAME)
-    report = baseline_sync(
-        handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF
-    )
+    report = baseline_sync(handle.url + "resourcelist.xml", store, state)
     assert report.failed == 0 and report.created == 500
 
     # destination polls every publication period; two extra polls after quiescence
@@ -183,13 +181,11 @@ def test_criterion_04_end_to_end_convergence(tmp_path, http_server):
         now = t0 + timedelta(seconds=period * k)
         sim.advance(now)
         publish(res, web, res_base, sim.log, period, now=now)
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report.failed == 0, report.failures
     assert len(sim.log) > 0
 
-    result = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+    result = audit(handle.url + "resourcelist.xml", store, state)
     assert result.clean, (result.missing, result.stale, result.extraneous)
     elapsed = time.monotonic() - started
     assert elapsed <= 90, f"took {elapsed:.1f}s"
@@ -214,9 +210,7 @@ def test_criterion_05_burst_mode(tmp_path, http_server):
 
     publish(res, web, res_base, sim.log, period, now=t0)
     state = load_state(store / STATE_FILE_NAME)
-    report = baseline_sync(
-        handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF
-    )
+    report = baseline_sync(handle.url + "resourcelist.xml", store, state)
     assert report.failed == 0 and report.created == 1200
 
     sim.run_to_completion()
@@ -230,15 +224,13 @@ def test_criterion_05_burst_mode(tmp_path, http_server):
     for rec in sim.log.records:
         histogram[rec.change] += 1
 
-    report = incremental_sync(
-        handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-    )
+    report = incremental_sync(handle.url + "changelist.xml", store, state)
     assert report.failed == 0, report.failures[:3]
     assert report.created == histogram[ChangeKind.CREATED]
     assert report.updated == histogram[ChangeKind.UPDATED]
     assert report.deleted == histogram[ChangeKind.DELETED]
 
-    result = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+    result = audit(handle.url + "resourcelist.xml", store, state)
     assert result.clean, (result.missing[:3], result.stale[:3], result.extraneous[:3])
     elapsed = time.monotonic() - started
     assert elapsed <= 60, f"took {elapsed:.1f}s"
@@ -279,11 +271,11 @@ def test_criterion_07_idempotence(tmp_path, http_server):
 
     state = load_state(store / STATE_FILE_NAME)
     url = handle.url + "resourcelist.xml"
-    first = baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+    first = baseline_sync(url, store, state)
     assert first.created == 40 and first.failed == 0
     before = read_tree(store)
 
-    again = baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+    again = baseline_sync(url, store, state)
     assert again.created == 0 and again.updated == 0 and again.deleted == 0
     assert again.bytes_transferred == 0 and again.skipped == 40
     assert read_tree(store) == before
@@ -307,11 +299,11 @@ def test_criterion_07_idempotence(tmp_path, http_server):
     )
     (web / "changelist.xml").write_bytes(serialize_document(doc))
     cl_url = handle.url + "changelist.xml"
-    applied = incremental_sync(cl_url, store, state, backoff=FAST_BACKOFF)
+    applied = incremental_sync(cl_url, store, state)
     assert applied.updated == 1 and applied.failed == 0
     after_first = read_tree(store)
 
-    reapplied = incremental_sync(cl_url, store, state, backoff=FAST_BACKOFF)
+    reapplied = incremental_sync(cl_url, store, state)
     assert reapplied.created == 0 and reapplied.updated == 0 and reapplied.deleted == 0
     assert reapplied.bytes_transferred == 0
     assert read_tree(store) == after_first
@@ -360,9 +352,9 @@ def test_criterion_08_crash_safety(tmp_path, http_server):
 
         state = load_state(store / STATE_FILE_NAME) if not _state_corrupt(store) else None
         assert state is not None, "state file corrupt after crash"
-        report = baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        report = baseline_sync(url, store, state)
         assert report.failed == 0
-        result = audit(url, store, state, backoff=FAST_BACKOFF)
+        result = audit(url, store, state)
         assert result.clean, f"trial {trial} failed to converge"
 
 
@@ -388,33 +380,33 @@ def test_criterion_09_audit_sensitivity(tmp_path, http_server):
     publish_resource_list(scan(SourceConfig(res, res_base), taken_at=t0), t0, web)
     url = handle.url + "resourcelist.xml"
     state = load_state(store / STATE_FILE_NAME)
-    baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+    baseline_sync(url, store, state)
 
     # single-byte corruption -> exactly one stale
     body = bytearray((store / "f3.bin").read_bytes())
     body[7] ^= 0x01
     original = (store / "f3.bin").read_bytes()
     (store / "f3.bin").write_bytes(bytes(body))
-    report = audit(url, store, state, backoff=FAST_BACKOFF)
+    report = audit(url, store, state)
     assert report.stale == [res_base + "f3.bin"]
     assert report.missing == [] and report.extraneous == []
     (store / "f3.bin").write_bytes(original)
 
     # single deletion -> exactly one missing
     (store / "f5.bin").unlink()
-    report = audit(url, store, state, backoff=FAST_BACKOFF)
+    report = audit(url, store, state)
     assert report.missing == [res_base + "f5.bin"]
     assert report.stale == [] and report.extraneous == []
     (store / "f5.bin").write_bytes(read_tree(res)["f5.bin"])
 
     # single extraneous file -> exactly one extraneous
     write_tree(store, {"uninvited.bin": b"???"})
-    report = audit(url, store, state, backoff=FAST_BACKOFF)
+    report = audit(url, store, state)
     assert report.extraneous == [res_base + "uninvited.bin"]
     assert report.missing == [] and report.stale == []
     (store / "uninvited.bin").unlink()
 
-    report = audit(url, store, state, backoff=FAST_BACKOFF)
+    report = audit(url, store, state)
     assert report.clean
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -10,11 +11,11 @@ from pathlib import Path
 import pytest
 import requests
 
-from sitemapsync import cli, source, transport
+from sitemapsync import cli, source
 from sitemapsync.codec import parse_document
 from sitemapsync.model import CapabilityKind
 
-from conftest import FAST_BACKOFF, assert_trees_equal, read_tree, write_tree
+from conftest import assert_trees_equal, read_tree, write_tree
 
 
 def run_cli(argv) -> int:
@@ -40,20 +41,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.rstrip("\n")
 
-    def test_unreachable_source_is_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(transport, "DEFAULT_BACKOFF", FAST_BACKOFF)
+    def test_unreachable_source_is_1(self, tmp_path, capsys):
         rc = run_cli(
             ["baseline", "--source", "http://127.0.0.1:1/rl.xml", "--store", tmp_path / "s"]
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_audit_error_is_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(transport, "DEFAULT_BACKOFF", FAST_BACKOFF)
+    def test_audit_error_is_2(self, tmp_path, capsys):
         rc = run_cli(
             ["audit", "--source", "http://127.0.0.1:1/rl.xml", "--store", tmp_path / "s"]
         )
         assert rc == 2
+
+    def test_audit_of_a_malformed_loc_is_2(self, tmp_path, http_server, capsys):
+        web = tmp_path / "web"
+        write_tree(web, {"resourcelist.xml": (
+            b'<?xml version="1.0" encoding="UTF-8"?>'
+            b'<urlset xmlns="http://www.sitemaps.org/schemas/sitemap/0.9" '
+            b'xmlns:rs="http://www.openarchives.org/rs/terms/">'
+            b'<rs:md capability="resourcelist" modified="2013-01-03T09:00:00Z"/>'
+            b"<url><loc>http://[::1/x</loc></url></urlset>"
+        )})
+        handle = http_server(web)
+        rc = run_cli(
+            ["audit", "--source", handle.url + "resourcelist.xml", "--store", tmp_path / "s"]
+        )
+        assert rc == 2
+        assert "bad_uri" in capsys.readouterr().err
 
 
 class TestListCommand:
@@ -180,6 +195,39 @@ class TestSimulateCommand:
         )
         assert rc == 0
         assert len(list((out2 / "res").rglob("*.dat"))) == 7
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("line", ["verify_digests = no", "max_parallel_transfer = 0"])
+    def test_unknown_key_is_a_usage_error(self, tmp_path, capsys, line):
+        ini = tmp_path / "sync.ini"
+        ini.write_text(f"[destination]\nstale_wins = yes\n{line}\n")
+        rc = run_cli(
+            ["baseline", "--config", ini, "--source", "http://127.0.0.1:1/rl.xml",
+             "--store", tmp_path / "s"]
+        )
+        assert rc == 64
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("section", ["destinaton", "DEFAULT"])
+    def test_unknown_section_is_a_usage_error(self, tmp_path, capsys, section):
+        ini = tmp_path / "sync.ini"
+        ini.write_text(f"[{section}]\nstate = x\n")
+        rc = run_cli(["simulate", "--config", ini, "--out", tmp_path / "o"])
+        assert rc == 64
+        assert f"[{section}]" in capsys.readouterr().err
+
+    def test_table_names_exactly_the_keys_read(self):
+        """Each ``_opt(value, cfg, section, key, ...)`` call in cli.py reads a
+        key of ``CONFIG_KEYS``, and every key there is read."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        read: dict[str, set[str]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_opt":
+                section, key = (ast.literal_eval(arg) for arg in node.args[2:4])
+                read.setdefault(section, set()).add(key)
+        assert read == cli.CONFIG_KEYS
 
 
 class TestServeSubprocess:

@@ -376,6 +376,9 @@ def _document(capability, entries):
 ENTRY_CHECKS = [
     pytest.param("resourcelist", [_entry(A), _entry("/res1")], "bad_uri", id="relative_uri"),
     pytest.param(
+        "resourcelist", [_entry(A), _entry("http://[::1/x")], "bad_uri", id="unclosed_ipv6_uri"
+    ),
+    pytest.param(
         "resourcelist", [_entry(A, md=f'hash="md5:{"G" * 32}"')], "malformed_xml",
         id="digest_not_hex",
     ),

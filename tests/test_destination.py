@@ -37,7 +37,7 @@ from sitemapsync.simulator import SimConfig, SourceSimulator
 from sitemapsync.source import ChangeLog, SourceConfig, publish_resource_list, scan
 from sitemapsync.digests import hash_file
 
-from conftest import FAST_BACKOFF, assert_trees_equal, read_tree, set_tree_mtimes, write_tree
+from conftest import assert_trees_equal, read_tree, set_tree_mtimes, write_tree
 
 UTC = timezone.utc
 T_BASE = datetime(2013, 1, 1, tzinfo=UTC)  # mtime of freshly written fixtures
@@ -159,9 +159,7 @@ class TestBaseline:
         publish_list(web, res, res_base)
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        report = baseline_sync(
-            handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = baseline_sync(handle.url + "resourcelist.xml", store, state)
         assert (report.created, report.updated, report.deleted, report.failed) == (0, 0, 0, 0)
 
     def test_three_resources_into_empty_store(self, site, tmp_path):
@@ -170,9 +168,7 @@ class TestBaseline:
         publish_list(web, res, res_base)
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        report = baseline_sync(
-            handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = baseline_sync(handle.url + "resourcelist.xml", store, state)
         assert report.created == 3 and report.failed == 0
         assert report.bytes_transferred == len(b"alpha") + len(b"beta") + len(b"gamma")
         # independent re-hash oracle: stored bytes equal origin bytes
@@ -189,9 +185,9 @@ class TestBaseline:
         store = tmp_path / "store"
         state = load_state(store / "state.json")
         url = handle.url + "resourcelist.xml"
-        baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        baseline_sync(url, store, state)
         before = read_tree(store)
-        report = baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        report = baseline_sync(url, store, state)
         assert (report.created, report.updated, report.skipped) == (0, 0, 3)
         assert report.bytes_transferred == 0
         assert read_tree(store) == before
@@ -203,9 +199,7 @@ class TestBaseline:
         store = tmp_path / "store"
         write_tree(store, {"stray.bin": b"zzz", "keep": b"k"})
         state = load_state(store / "state.json")
-        report = baseline_sync(
-            handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = baseline_sync(handle.url + "resourcelist.xml", store, state)
         assert report.deleted == 1
         assert not (store / "stray.bin").exists()
 
@@ -221,7 +215,6 @@ class TestBaseline:
             store,
             state,
             SyncPolicy(apply_deletes=False),
-            backoff=FAST_BACKOFF,
         )
         assert report.deleted == 0
         assert (store / "stray.bin").exists()
@@ -233,15 +226,13 @@ class TestBaseline:
         store = tmp_path / "store"
         state = load_state(store / STATE_FILE_NAME)
         url = handle.url + "resourcelist.xml"
-        baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        baseline_sync(url, store, state)
         # The file d0 becomes a directory; the kept local file d0 blocks the rename.
         (res / "d0").unlink()
         write_tree(res, {"d0/x.dat": b"under a new directory"})
         publish_list(web, res, res_base)
         for _ in range(2):
-            report = baseline_sync(
-                url, store, state, SyncPolicy(apply_deletes=False), backoff=FAST_BACKOFF
-            )
+            report = baseline_sync(url, store, state, SyncPolicy(apply_deletes=False))
             assert report.failed == 1, report.failures
             assert not list(store.glob(".resync.tmp-*"))
 
@@ -258,9 +249,7 @@ class TestBaseline:
         (web / "resourcelist.xml").write_bytes(serialize_document(doc))
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        report = baseline_sync(
-            handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = baseline_sync(handle.url + "resourcelist.xml", store, state)
         assert report.created == 1 and report.failed == 1
         assert (store / "ok.txt").read_bytes() == b"fine"
         assert state.last_sync is None  # not advanced on any failure
@@ -285,9 +274,7 @@ class TestBaseline:
         (web / "resourcelist-index.xml").write_bytes(serialize_document(index))
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        report = baseline_sync(
-            handle.url + "resourcelist-index.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = baseline_sync(handle.url + "resourcelist-index.xml", store, state)
         assert report.created == 2 and report.failed == 0
         assert read_tree(store) == read_tree(res)
 
@@ -303,9 +290,9 @@ class TestBaseline:
         assert not (web / "resourcelist-index.xml").exists()
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        report = baseline_sync(list_url, store, state, backoff=FAST_BACKOFF)
+        report = baseline_sync(list_url, store, state)
         assert report.created == 5 and report.failed == 0
-        assert audit(list_url, store, state, backoff=FAST_BACKOFF).clean
+        assert audit(list_url, store, state).clean
         assert_trees_equal(res, store)
 
     def test_source_grown_past_cap_and_shrunk_back_is_mirrored(self, site, tmp_path, monkeypatch):
@@ -320,9 +307,9 @@ class TestBaseline:
                 path.unlink()
             write_tree(res, {n: f"{n}{len(names)}".encode() for n in names})
             simulator.publish(res, web, res_base, ChangeLog(), 10, now=T0)
-            report = baseline_sync(list_url, store, state, backoff=FAST_BACKOFF)
+            report = baseline_sync(list_url, store, state)
             assert report.failed == 0
-            assert audit(list_url, store, state, backoff=FAST_BACKOFF).clean
+            assert audit(list_url, store, state).clean
             assert_trees_equal(res, store)
 
     def test_lastmod_only_list_updates_changed_resource(self, site, tmp_path):
@@ -339,13 +326,13 @@ class TestBaseline:
         url = handle.url + "resourcelist.xml"
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        baseline_sync(url, store, state)
         (res / "a.txt").write_bytes(b"new!")
         publish_lastmod_only(T0 + timedelta(hours=1))
-        report = baseline_sync(url, store, state, backoff=FAST_BACKOFF)
+        report = baseline_sync(url, store, state)
         assert (report.updated, report.skipped, report.failed) == (1, 0, 0)
         assert (store / "a.txt").read_bytes() == b"new!"
-        assert audit(url, store, state, backoff=FAST_BACKOFF).clean
+        assert audit(url, store, state).clean
 
     @pytest.mark.parametrize("name", [STATE_FILE_NAME, ".resync.lock", "d/.resync-x/a.dat"])
     def test_reserved_names_are_rejected(self, site, tmp_path, name):
@@ -358,10 +345,10 @@ class TestBaseline:
         state_path = store / STATE_FILE_NAME
         state = load_state(state_path)
         with pytest.raises(PathMappingError, match="unsafe path segment"):
-            baseline_sync(url, store, state, state_path=state_path, backoff=FAST_BACKOFF)
+            baseline_sync(url, store, state, state_path=state_path)
         assert read_tree(store) == {}
         assert load_state(state_path).records == {}
-        report = audit(url, store, state, backoff=FAST_BACKOFF)
+        report = audit(url, store, state)
         assert sorted(report.missing) == sorted([res_base + "a.dat", res_base + name])
 
     def test_store_locked(self, site, tmp_path):
@@ -374,9 +361,7 @@ class TestBaseline:
         try:
             state = load_state(store / "state.json")
             with pytest.raises(StoreLockedError):
-                baseline_sync(
-                    handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF
-                )
+                baseline_sync(handle.url + "resourcelist.xml", store, state)
         finally:
             os.close(lock_fd)
 
@@ -389,16 +374,14 @@ class TestIncremental:
         publish_list(web, res, res_base)
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        baseline_sync(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        baseline_sync(handle.url + "resourcelist.xml", store, state)
         return web, res, handle, res_base, store, state
 
     def test_baseline_required(self, site, tmp_path):
         web, res, handle, res_base = site
         state = DestinationState()
         with pytest.raises(BaselineRequiredError):
-            incremental_sync(
-                handle.url + "changelist.xml", tmp_path / "store", state, backoff=FAST_BACKOFF
-            )
+            incremental_sync(handle.url + "changelist.xml", tmp_path / "store", state)
 
     def test_update_and_delete_applied(self, site, tmp_path):
         """Apply a change list shaped exactly like the two-entry golden one."""
@@ -424,9 +407,7 @@ class TestIncremental:
             ],
         )
         serve_changelist(web, doc)
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert (report.updated, report.deleted, report.failed) == (1, 1, 0)
         assert (store / "res2.pdf").read_bytes() == b"new body!"
         assert not (store / "res3.tiff").exists()
@@ -441,9 +422,7 @@ class TestIncremental:
             [ResourceEntry(res_base + "a", t_old, ResourceMetadata(change=ChangeKind.UPDATED))],
         )
         serve_changelist(web, doc)
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report == type(report)()  # every field zero / empty
 
     def test_reapplying_changelist_is_noop(self, site, tmp_path):
@@ -466,10 +445,10 @@ class TestIncremental:
         )
         serve_changelist(web, doc)
         url = handle.url + "changelist.xml"
-        first = incremental_sync(url, store, state, backoff=FAST_BACKOFF)
+        first = incremental_sync(url, store, state)
         assert first.updated == 1
         before = read_tree(store)
-        second = incremental_sync(url, store, state, backoff=FAST_BACKOFF)
+        second = incremental_sync(url, store, state)
         assert (second.updated, second.deleted, second.created) == (0, 0, 0)
         assert second.bytes_transferred == 0
         assert read_tree(store) == before
@@ -492,9 +471,7 @@ class TestIncremental:
             ],
         )
         serve_changelist(web, doc)
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report.created == 1
         assert (store / "deep/new file.dat").read_bytes() == b"fresh"
 
@@ -513,9 +490,7 @@ class TestIncremental:
             [ResourceEntry(uri, t_entry, ResourceMetadata(change=ChangeKind.UPDATED))],
         )
         serve_changelist(web, doc)
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report.skipped == 1 and report.updated == 0
 
         state.last_sync = T0 - timedelta(days=1)
@@ -524,7 +499,6 @@ class TestIncremental:
             store,
             state,
             SyncPolicy(stale_wins=True),
-            backoff=FAST_BACKOFF,
         )
         assert report.updated == 1
 
@@ -560,9 +534,7 @@ class TestIncremental:
             ],
         )
         serve_changelist(web, doc)
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report.updated == 2 and report.failed == 0
         assert (store / "a.bin").read_bytes() == b"v2-final"
 
@@ -584,9 +556,7 @@ class TestIncremental:
         )
         serve_changelist(web, doc)
         old_last_sync = state.last_sync
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report.failed == 1 and report.updated == 0
         assert "mismatch" in report.failures[0][1]
         assert state.last_sync == old_last_sync  # not advanced
@@ -620,9 +590,7 @@ class TestIncremental:
             [ResourceEntry(handle.url + f"changelist-{i}.xml", lastmod=None) for i in (1, 2)],
         )
         (web / "changelist-index.xml").write_bytes(serialize_document(index))
-        report = incremental_sync(
-            handle.url + "changelist-index.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist-index.xml", store, state)
         assert report.updated == 2 and report.failed == 0
         assert (store / "a.bin").read_bytes() == b"v1"
         assert (store / "b.bin").read_bytes() == b"w1"
@@ -660,9 +628,7 @@ class TestIncremental:
         new = scan(SourceConfig(res, res_base), taken_at=t1)
 
         serve_changelist(web, diff_inventories(old, new))
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report.failed == 0, report.failures
         assert read_tree(store) == read_tree(res)
 
@@ -681,9 +647,7 @@ class TestIncremental:
             ],
         )
         serve_changelist(web, doc)
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report.deleted == 1
         assert not (store / "p").exists()
         assert (store / "keep.bin").read_bytes() == b"k"
@@ -697,10 +661,7 @@ class TestIncremental:
         store = tmp_path / "store"
         state_path = store / STATE_FILE_NAME
         state = load_state(state_path)
-        baseline_sync(
-            handle.url + "resourcelist.xml", store, state, state_path=state_path,
-            backoff=FAST_BACKOFF,
-        )
+        baseline_sync(handle.url + "resourcelist.xml", store, state, state_path=state_path)
         assert state.records[res_base + "d0/a.dat"].local_path == "a.dat"
 
         write_tree(res, {"a.dat": b"second"})
@@ -713,7 +674,7 @@ class TestIncremental:
         serve_changelist(web, doc)
         url = handle.url + "changelist.xml"
         with pytest.raises(PathMappingError):
-            incremental_sync(url, store, state, state_path=state_path, backoff=FAST_BACKOFF)
+            incremental_sync(url, store, state, state_path=state_path)
         assert cli.main(["sync", "--source", url, "--store", str(store)]) == cli.EXIT_ERROR
         assert (store / "a.dat").read_bytes() == b"first"
         assert load_state(state_path).records.keys() == {res_base + "d0/a.dat"}
@@ -730,7 +691,7 @@ class TestIncremental:
         )
         serve_changelist(web, doc)
         with pytest.raises(PathMappingError, match="both map to 'a.dat'"):
-            incremental_sync(handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF)
+            incremental_sync(handle.url + "changelist.xml", store, state)
         assert read_tree(store) == {"a.dat": b"first"}
         assert state.records.keys() == {res_base + "a.dat"}
 
@@ -744,7 +705,7 @@ class TestIncremental:
         store = tmp_path / "store"
         state_path = store / STATE_FILE_NAME
         state = load_state(state_path)
-        baseline_sync(list_url, store, state, state_path=state_path, backoff=FAST_BACKOFF)
+        baseline_sync(list_url, store, state, state_path=state_path)
         before = read_tree(store), state_path.read_bytes()
 
         write_tree(res, {"b.dat": b"second"})
@@ -756,14 +717,11 @@ class TestIncremental:
         serve_changelist(web, doc)
         outside = re.escape(f"outside the mapping prefix {res_base + 'd0/'!r}")
         with pytest.raises(PathMappingError, match=outside):
-            incremental_sync(
-                handle.url + "changelist.xml", store, state, state_path=state_path,
-                backoff=FAST_BACKOFF,
-            )
+            incremental_sync(handle.url + "changelist.xml", store, state, state_path=state_path)
         assert (read_tree(store), state_path.read_bytes()) == before
         publish_list(web, res, res_base, modified=t1)
         with pytest.raises(PathMappingError, match=outside):
-            baseline_sync(list_url, store, state, state_path=state_path, backoff=FAST_BACKOFF)
+            baseline_sync(list_url, store, state, state_path=state_path)
         assert (read_tree(store), state_path.read_bytes()) == before
 
     def test_deletes_suppressed_by_policy(self, site, tmp_path):
@@ -782,7 +740,6 @@ class TestIncremental:
             store,
             state,
             SyncPolicy(apply_deletes=False),
-            backoff=FAST_BACKOFF,
         )
         assert report.deleted == 0 and report.skipped == 1
         assert (store / "a.bin").exists()
@@ -795,14 +752,14 @@ class TestAudit:
         publish_list(web, res, res_base)
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        baseline_sync(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        baseline_sync(handle.url + "resourcelist.xml", store, state)
         return web, res, handle, res_base, store, state
 
     def test_clean_after_baseline(self, site, tmp_path):
         web, res, handle, res_base, store, state = self._baselined(
             site, tmp_path, {"a": b"1", "b/c": b"2"}
         )
-        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        report = audit(handle.url + "resourcelist.xml", store, state)
         assert report.clean and report.in_sync == 2
         assert report.missing == [] and report.stale == [] and report.extraneous == []
 
@@ -813,7 +770,7 @@ class TestAudit:
         body = bytearray((store / "a").read_bytes())
         body[0] ^= 0xFF
         (store / "a").write_bytes(bytes(body))
-        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        report = audit(handle.url + "resourcelist.xml", store, state)
         assert report.stale == [res_base + "a"]
         assert report.missing == [] and report.extraneous == []
         assert report.in_sync == 1
@@ -823,7 +780,7 @@ class TestAudit:
             site, tmp_path, {"a": b"payload", "b": b"other"}
         )
         (store / "b").unlink()
-        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        report = audit(handle.url + "resourcelist.xml", store, state)
         assert report.missing == [res_base + "b"]
         assert report.stale == [] and report.extraneous == []
 
@@ -832,7 +789,7 @@ class TestAudit:
             site, tmp_path, {"a": b"payload"}
         )
         write_tree(store, {"stray.bin": b"zzz"})
-        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        report = audit(handle.url + "resourcelist.xml", store, state)
         assert report.extraneous == [res_base + "stray.bin"]
         assert report.in_sync == 1
 
@@ -843,7 +800,7 @@ class TestAudit:
         write_tree(res, {"b.dat": b"b"})
         publish_list(web, res, res_base)
         write_tree(store, {"stray.bin": b"zzz"})
-        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        report = audit(handle.url + "resourcelist.xml", store, state)
         assert report.extraneous == [res_base + "d0/stray.bin"]
         assert report.missing == [res_base + "b.dat"]
         assert report.in_sync == 1
@@ -854,7 +811,7 @@ class TestAudit:
         )
         # a record for a URI the source no longer lists
         state.records[res_base + "ghost"] = StateRecord("ghost", T0, "md5:" + "0" * 32)
-        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        report = audit(handle.url + "resourcelist.xml", store, state)
         assert report.extraneous == [res_base + "ghost"]
 
     def test_partition_invariant(self, site, tmp_path):
@@ -866,7 +823,7 @@ class TestAudit:
         (store / "a").write_bytes(bytes(body))
         (store / "b").unlink()
         write_tree(store, {"stray": b"s"})
-        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        report = audit(handle.url + "resourcelist.xml", store, state)
         listed = 3
         assert report.in_sync + len(report.missing) + len(report.stale) == listed
         assert set(report.missing) | set(report.stale) | set(report.extraneous) == {
@@ -881,7 +838,7 @@ class TestAudit:
         )
         (store / "a").unlink()
         before = read_tree(store)
-        audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        audit(handle.url + "resourcelist.xml", store, state)
         assert read_tree(store) == before
 
     def test_length_evidence_without_digest(self, site, tmp_path):
@@ -896,9 +853,9 @@ class TestAudit:
         (web / "resourcelist.xml").write_bytes(serialize_document(doc))
         store = tmp_path / "store"
         state = load_state(store / "state.json")
-        baseline_sync(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        baseline_sync(handle.url + "resourcelist.xml", store, state)
         (store / "a").write_bytes(b"123456789")
-        report = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        report = audit(handle.url + "resourcelist.xml", store, state)
         assert report.stale == [res_base + "a"]
 
 
@@ -912,22 +869,20 @@ class TestPolledWindows:
         simulator.publish(res, web, res_base, log, self.PERIOD, now=T_BASE)
         store = tmp_path / "store"
         state = load_state(store / STATE_FILE_NAME)
-        baseline_sync(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        baseline_sync(handle.url + "resourcelist.xml", store, state)
         return store, state
 
     def _publish_and_sync(self, site, log, store, state, seconds):
         web, res, handle, res_base = site
         now = T_BASE + timedelta(seconds=seconds)
         simulator.publish(res, web, res_base, log, self.PERIOD, now=now)
-        report = incremental_sync(
-            handle.url + "changelist.xml", store, state, backoff=FAST_BACKOFF
-        )
+        report = incremental_sync(handle.url + "changelist.xml", store, state)
         assert report.failed == 0, report.failures
         return report
 
     def _assert_audit_clean(self, site, store, state):
         web, res, handle, res_base = site
-        result = audit(handle.url + "resourcelist.xml", store, state, backoff=FAST_BACKOFF)
+        result = audit(handle.url + "resourcelist.xml", store, state)
         assert result.clean, (result.missing, result.stale, result.extraneous)
         assert_trees_equal(res, store)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from sitemapsync import transport
 from sitemapsync.codec import parse_document
 from sitemapsync.transport import (
     SERVE_POLL_INTERVAL,
@@ -18,7 +19,7 @@ from sitemapsync.transport import (
 from sitemapsync.source import SourceConfig, scan, publish_resource_list
 from datetime import datetime, timezone
 
-from conftest import FAST_BACKOFF, write_tree
+from conftest import write_tree
 
 # md5 oracles computed with coreutils
 MD5_ABC = "900150983cd24fb0d6963f7d28e17f72"
@@ -79,7 +80,7 @@ class TestServe:
         inv = scan(SourceConfig(tmp_path / "res", "http://example.com/"))
         publish_resource_list(inv, datetime(2013, 1, 3, tzinfo=timezone.utc), tmp_path)
         handle = http_server(tmp_path)
-        result = fetch(handle.url + "resourcelist.xml", backoff=FAST_BACKOFF)
+        result = fetch(handle.url + "resourcelist.xml")
         assert result.status == 200
         doc = parse_document(result.body)
         assert len(doc.entries) == 1
@@ -98,38 +99,38 @@ class TestServe:
     def test_unknown_path_404(self, tmp_path, http_server):
         handle = http_server(tmp_path)
         with pytest.raises(TransportError) as exc:
-            fetch(handle.url + "nope", backoff=FAST_BACKOFF)
+            fetch(handle.url + "nope")
         assert exc.value.status == 404
 
     def test_conditional_get_304(self, tmp_path, http_server):
         write_tree(tmp_path, {"a.txt": b"hi"})
         handle = http_server(tmp_path)
-        first = fetch(handle.url + "a.txt", backoff=FAST_BACKOFF)
+        first = fetch(handle.url + "a.txt")
         assert first.status == 200 and first.etag and not first.from_cache
         assert first.last_modified is not None
-        again = fetch(handle.url + "a.txt", cached=first, backoff=FAST_BACKOFF)
+        again = fetch(handle.url + "a.txt", cached=first)
         assert again.status == 304 and again.from_cache
         assert again.body == first.body == b"hi"
 
     def test_if_modified_since_alone_yields_304(self, tmp_path, http_server):
         write_tree(tmp_path, {"a.txt": b"hi"})
         handle = http_server(tmp_path)
-        first = fetch(handle.url + "a.txt", backoff=FAST_BACKOFF)
+        first = fetch(handle.url + "a.txt")
         validator_only = type(first)(
             status=first.status, body=first.body, etag=None,
             last_modified=first.last_modified,
         )
-        again = fetch(handle.url + "a.txt", cached=validator_only, backoff=FAST_BACKOFF)
+        again = fetch(handle.url + "a.txt", cached=validator_only)
         assert again.from_cache and again.body == b"hi"
 
     def test_etag_changes_iff_bytes_change(self, tmp_path, http_server):
         write_tree(tmp_path, {"a.txt": b"hi"})
         handle = http_server(tmp_path)
-        e1 = fetch(handle.url + "a.txt", backoff=FAST_BACKOFF).etag
-        e2 = fetch(handle.url + "a.txt", backoff=FAST_BACKOFF).etag
+        e1 = fetch(handle.url + "a.txt").etag
+        e2 = fetch(handle.url + "a.txt").etag
         assert e1 == e2
         (tmp_path / "a.txt").write_bytes(b"ho")
-        e3 = fetch(handle.url + "a.txt", backoff=FAST_BACKOFF).etag
+        e3 = fetch(handle.url + "a.txt").etag
         assert e3 != e1
 
     def test_head_has_no_body(self, tmp_path, http_server):
@@ -143,7 +144,7 @@ class TestServe:
     def test_escaped_paths_resolve(self, tmp_path, http_server):
         write_tree(tmp_path, {"rés umé.txt": b"x"})
         handle = http_server(tmp_path)
-        result = fetch(handle.url + "r%C3%A9s%20um%C3%A9.txt", backoff=FAST_BACKOFF)
+        result = fetch(handle.url + "r%C3%A9s%20um%C3%A9.txt")
         assert result.body == b"x"
 
     @pytest.mark.parametrize("path", ["/a%2Fb.txt", "/a/./b.txt", "//c.txt", "/a//b.txt"])
@@ -157,39 +158,47 @@ class TestServe:
         resp.read()
         conn.close()
         assert resp.status == 403
-        assert fetch(handle.url + "a/b.txt", backoff=FAST_BACKOFF).body == b"ab"
+        assert fetch(handle.url + "a/b.txt").body == b"ab"
 
 
 class TestFetchRetries:
     def test_success_after_two_500s(self, scripted_server):
         url, handler = scripted_server([500, 500, 200])
-        result = fetch(url, backoff=FAST_BACKOFF)
+        result = fetch(url)
         assert result.status == 200 and result.body == b"abc"
         assert handler.hits == 3
 
     def test_three_500s_is_an_error(self, scripted_server):
         url, handler = scripted_server([500, 500, 500])
         with pytest.raises(TransportError):
-            fetch(url, backoff=FAST_BACKOFF)
+            fetch(url)
         assert handler.hits == 3
+
+    def test_empty_schedule_makes_one_attempt(self, scripted_server, monkeypatch):
+        monkeypatch.setattr(transport, "DEFAULT_BACKOFF", ())
+        url, handler = scripted_server([500, 200])
+        with pytest.raises(TransportError):
+            fetch(url)
+        assert handler.hits == 1
 
     def test_4xx_never_retried(self, scripted_server):
         url, handler = scripted_server([404])
         with pytest.raises(TransportError) as exc:
-            fetch(url, backoff=FAST_BACKOFF)
+            fetch(url)
         assert exc.value.status == 404
         assert handler.hits == 1
 
     def test_redirect_loop_detected(self, scripted_server):
         url, handler = scripted_server([302] * 50)
         with pytest.raises(TransportError) as exc:
-            fetch(url, backoff=FAST_BACKOFF)
+            fetch(url)
         assert "redirect" in str(exc.value)
 
-    def test_document_size_cap(self, scripted_server):
+    def test_document_size_cap(self, scripted_server, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_DOCUMENT_BYTES", 1024)
         url, _ = scripted_server([200], body=b"x" * 4096)
         with pytest.raises(TransportError):
-            fetch(url, backoff=FAST_BACKOFF, max_bytes=1024)
+            fetch(url)
 
 
 class TestDownloadTo:
@@ -197,7 +206,7 @@ class TestDownloadTo:
         write_tree(tmp_path / "web", {"f.bin": b"abc"})
         handle = http_server(tmp_path / "web")
         temp = tmp_path / "dl.part"
-        length, digest = download_to(handle.url + "f.bin", temp, backoff=FAST_BACKOFF)
+        length, digest = download_to(handle.url + "f.bin", temp)
         assert (length, digest) == (3, f"md5:{MD5_ABC}")
         assert temp.read_bytes() == b"abc"
 
@@ -205,9 +214,7 @@ class TestDownloadTo:
         write_tree(tmp_path / "web", {"f.bin": b"abc"})
         handle = http_server(tmp_path / "web")
         temp = tmp_path / "dl.part"
-        length, digest = download_to(
-            handle.url + "f.bin", temp, expected_digest=f"md5:{MD5_ABC}", backoff=FAST_BACKOFF
-        )
+        length, digest = download_to(handle.url + "f.bin", temp, expected_digest=f"md5:{MD5_ABC}")
         assert length == 3
 
     def test_mismatch_removes_temp_file(self, tmp_path, http_server):
@@ -215,10 +222,7 @@ class TestDownloadTo:
         handle = http_server(tmp_path / "web")
         temp = tmp_path / "dl.part"
         with pytest.raises(DigestMismatchError):
-            download_to(
-                handle.url + "f.bin", temp, expected_digest="md5:" + "0" * 32,
-                backoff=FAST_BACKOFF,
-            )
+            download_to(handle.url + "f.bin", temp, expected_digest="md5:" + "0" * 32)
         assert not temp.exists()
 
     def test_refused_connection_removes_temp_file(self, tmp_path):
@@ -228,19 +232,19 @@ class TestDownloadTo:
         temp = tmp_path / "dl.part"
         temp.write_bytes(b"")  # callers create the temp file before the download
         with pytest.raises(TransportError):
-            download_to(f"http://127.0.0.1:{port}/f.bin", temp, backoff=FAST_BACKOFF)
+            download_to(f"http://127.0.0.1:{port}/f.bin", temp)
         assert not temp.exists()
 
     def test_zero_byte_resource(self, tmp_path, http_server):
         write_tree(tmp_path / "web", {"empty": b""})
         handle = http_server(tmp_path / "web")
         temp = tmp_path / "dl.part"
-        length, digest = download_to(handle.url + "empty", temp, backoff=FAST_BACKOFF)
+        length, digest = download_to(handle.url + "empty", temp)
         assert (length, digest) == (0, f"md5:{MD5_EMPTY}")
 
     def test_http_error_removes_temp_file(self, tmp_path, http_server):
         handle = http_server(tmp_path)
         temp = tmp_path / "dl.part"
         with pytest.raises(TransportError):
-            download_to(handle.url + "missing", temp, backoff=FAST_BACKOFF)
+            download_to(handle.url + "missing", temp)
         assert not temp.exists()
