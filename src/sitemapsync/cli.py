@@ -141,18 +141,18 @@ def _source_config(args, cfg) -> SourceConfig:
 
 
 def _policy(args, cfg) -> SyncPolicy:
-    policy = SyncPolicy(
-        apply_deletes=_opt(
-            getattr(args, "apply_deletes", None), cfg, "destination", "apply_deletes", True, bool
-        ),
-        max_parallel_transfers=_opt(
-            getattr(args, "parallel", None), cfg, "destination", "max_parallel_transfers", 4, int
-        ),
-        stale_wins=_opt(
-            getattr(args, "stale_wins", None), cfg, "destination", "stale_wins", False, bool
-        ),
-    )
-    policy.validate()
+    """Flags over config file; a value failing its cast or ``validate`` is a usage error."""
+    try:
+        policy = SyncPolicy(
+            apply_deletes=_opt(args.apply_deletes, cfg, "destination", "apply_deletes", True, bool),
+            max_parallel_transfers=_opt(
+                args.parallel, cfg, "destination", "max_parallel_transfers", 4, int
+            ),
+            stale_wins=_opt(args.stale_wins, cfg, "destination", "stale_wins", False, bool),
+        )
+        policy.validate()
+    except ValueError as exc:
+        raise _UsageError(f"bad sync policy: {exc}") from None
     return policy
 
 
@@ -269,11 +269,10 @@ def _run_sync(args, operation) -> int:
 
 def cmd_audit(args) -> int:
     cfg = _load_ini(args.config)
-    policy = _policy(args, cfg)
     state_path = _state_path(args, cfg)
     try:
         state = load_state(state_path)
-        report = audit(args.source, Path(args.store), state, policy)
+        report = audit(args.source, Path(args.store), state)
     except (TransportError, CodecError, SyncError, PathMappingError, ValidationError, OSError) as exc:
         _error_line(f"{type(exc).__name__}: {exc}")
         return EXIT_PARTIAL
@@ -370,10 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for the generated document(s)")
     p.set_defaults(func=cmd_changes)
 
-    def add_dest_args(p):
+    def add_store_args(p):
         p.add_argument("--source", required=True, help="document URL at the source")
         p.add_argument("--store", required=True, help="local store directory")
         p.add_argument("--state", help="state file path (default <store>/.resync.state.json)")
+
+    def add_dest_args(p):
+        add_store_args(p)
         p.add_argument("--parallel", type=int, help="max parallel transfers")
         p.add_argument("--no-delete", dest="apply_deletes", action="store_false", default=None,
                        help="keep local files the source no longer lists")
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda args: _run_sync(args, incremental_sync))
 
     p = sub.add_parser("audit", parents=[common], help="verify the store against a resource list")
-    add_dest_args(p)
+    add_store_args(p)
     p.add_argument("--report", help="also write the report as JSON to this path")
     p.set_defaults(func=cmd_audit)
 

@@ -1,9 +1,10 @@
 """Destination engine: baseline synchronization, incremental synchronization, audit.
 
 A destination keeps a local store directory plus a JSON state file recording,
-per source URI, the relative local path, lastmod, and digest it holds. All
-file writes go through a temp file in the store root followed by an atomic
-rename, so a killed run never leaves a partial file at a final path.
+per source URI, the relative local path, lastmod, and digest it holds. Every
+file is written by ``atomic.atomic_file`` (downloads through a temp file in
+the store root), so a killed run never leaves a partial file at a final path.
+The store is its regular files as ``source.tree_files`` lists them.
 Infrastructure entries in the store (lock, state, temp files) all start with
 ``.resync``: no URI maps onto one, and synchronization and audit ignore them.
 """
@@ -14,14 +15,13 @@ import fcntl
 import json
 import logging
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
-from .atomic import atomic_write_bytes
+from .atomic import atomic_file, atomic_write_bytes
 from .codec import parse_document
 from .digests import DEFAULT_ALGORITHM, SUPPORTED_ALGORITHMS, hash_file
 from .model import (
@@ -37,10 +37,10 @@ from .model import (
     parse_w3c_datetime,
 )
 from .source import (
-    RESERVED_PREFIX,
     PathMappingError,
     common_uri_prefix,
     local_path_for_uri,
+    tree_files,
     uri_for_relpath,
 )
 from .transport import DigestMismatchError, TransportError, download_to, fetch
@@ -240,16 +240,6 @@ def _fetch_entries(document_uri: str, expect_entry_capability: CapabilityKind) -
     return root.modified, entries
 
 
-def _store_files(store_dir: Path):
-    """Relative paths of synchronized files, skipping .resync infrastructure."""
-    for dirpath, dirnames, filenames in os.walk(store_dir):
-        dirnames[:] = sorted(d for d in dirnames if not d.startswith(RESERVED_PREFIX))
-        for name in sorted(filenames):
-            if name.startswith(RESERVED_PREFIX):
-                continue
-            yield (Path(dirpath) / name).relative_to(store_dir).as_posix()
-
-
 def _pick_listed_digest(entry: ResourceEntry) -> tuple[str, str] | None:
     """Strongest usable digest from a list entry: first supported algorithm."""
     for algo in sorted(entry.metadata.digests):
@@ -259,32 +249,18 @@ def _pick_listed_digest(entry: ResourceEntry) -> tuple[str, str] | None:
 
 
 def _download_resource(entry: ResourceEntry, final_path: Path, store_dir: Path) -> tuple[int, str]:
-    """Download to a temp file in the store root, verify against the entry's
-    listed digest, atomically rename.
-
-    A digest mismatch is retried once before failing. The temp file is
-    removed on any failure, the final rename's included.
-    """
-    uri = entry.uri
+    """Download into a temp file in the store root, check the entry's listed
+    digest (a mismatch is retried once) and rename the file into place."""
     listed = _pick_listed_digest(entry)
-    expected = f"{listed[0]}:{listed[1]}" if listed else None
-    attempts = 2 if expected is not None else 1
+    attempts = 2 if listed else 1
     for attempt in range(attempts):
-        fd, tmp = tempfile.mkstemp(dir=store_dir, prefix=RESERVED_PREFIX + ".tmp-")
-        os.close(fd)
         try:
-            length, digest = download_to(uri, tmp, expected)
-            final_path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(tmp, final_path)
-            return length, digest
-        except DigestMismatchError:  # download_to removed the temp file
+            with atomic_file(final_path, store_dir) as out:
+                return download_to(entry.uri, out, listed)
+        except DigestMismatchError:
             if attempt + 1 == attempts:
                 raise
-            logger.warning("digest mismatch for %s, retrying once", uri)
-        except BaseException:
-            with suppress(OSError):
-                os.unlink(tmp)
-            raise
+            logger.warning("digest mismatch for %s, retrying once", entry.uri)
 
 
 # --- plan ----------------------------------------------------------------------
@@ -361,7 +337,7 @@ def _plan_list(
         )
     listed_paths = set(paths.values())
     owners = {rec.local_path: uri for uri, rec in state.records.items() if uri not in paths}
-    for rel in _store_files(store_dir):
+    for _, rel in tree_files(store_dir):
         if rel not in listed_paths:
             plan.deletes.append((owners.pop(rel, None), rel, [ChangeKind.DELETED]))
     plan.deletes.extend((uri, rel, []) for rel, uri in owners.items())

@@ -51,19 +51,13 @@ def hash_file(path: Path, algorithms: tuple[str, ...] | list[str]) -> dict[str, 
     return {algo: h.hexdigest() for algo, h in hashers.items()}
 
 
-def parse_labelled_digest(value: str) -> tuple[str, str]:
-    """Split an ``algo:hex`` token into its parts."""
-    algo, sep, hexdigest = value.partition(":")
-    if not sep or not algo or not hexdigest:
-        raise ValueError(f"malformed digest token: {value!r}")
-    return algo, hexdigest
-
-
 def parse_digests(value: str) -> dict[str, str]:
     """Parse whitespace-separated ``algo:hex`` tokens; each algorithm at most once."""
     digests: dict[str, str] = {}
     for token in value.split():
-        algo, hexdigest = parse_labelled_digest(token)
+        algo, sep, hexdigest = token.partition(":")
+        if not sep or not algo or not hexdigest:
+            raise ValueError(f"malformed digest token: {token!r}")
         if algo in digests:
             raise ValueError(f"repeated digest algorithm {algo!r}")
         digests[algo] = hexdigest

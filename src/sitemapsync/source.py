@@ -114,6 +114,12 @@ def uri_for_relpath(base_uri: str, relpath: str) -> str:
     return base_uri + "/".join(quote(seg, safe="") for seg in relpath.split("/"))
 
 
+def _unsafe_segment(seg: str) -> bool:
+    """Whether no URI maps onto a path segment: empty or dot, reserved, or holding a separator."""
+    return seg.startswith(RESERVED_PREFIX) or seg in ("", ".", "..") or (
+        "/" in seg or "\\" in seg or "\x00" in seg)
+
+
 def local_path_for_uri(uri: str, prefix: str) -> str:
     """Map a URI under ``prefix`` to a safe relative path (segments decoded).
 
@@ -124,8 +130,7 @@ def local_path_for_uri(uri: str, prefix: str) -> str:
     segments = []
     for raw in uri[len(prefix) :].split("/"):
         seg = unquote(raw)
-        unsafe = seg in ("", ".", "..") or any(c in seg for c in "/\\\x00")
-        if unsafe or seg.startswith(RESERVED_PREFIX):
+        if _unsafe_segment(seg):
             raise PathMappingError(f"URI {uri!r} maps to an unsafe path segment {seg!r}")
         segments.append(seg)
     return "/".join(segments)
@@ -166,11 +171,12 @@ def mime_type_for(name: str) -> str:
     return _MIME_MAP.get(suffix, _MIME_FALLBACK)
 
 
-def _regular_files(root: str):
+def tree_files(root: str | os.PathLike):
     """Yield ``(path, relative POSIX path)`` for each regular file under ``root``.
 
-    Symlinks, to files or to directories, are neither listed nor followed.
-    A directory that cannot be listed is skipped, as ``os.walk`` skips it.
+    The one walker of source trees and destination stores, in no set order.
+    A name no URI maps onto (``_unsafe_segment``), a directory that cannot be
+    listed and every symlink are skipped, with all they hold.
     """
     pending = [(root, "")]
     while pending:
@@ -181,6 +187,8 @@ def _regular_files(root: str):
         except OSError:
             continue
         for child in children:
+            if _unsafe_segment(child.name):
+                continue
             if child.is_dir(follow_symlinks=False):
                 pending.append((child.path, prefix + child.name + "/"))
             elif child.is_file(follow_symlinks=False):
@@ -188,7 +196,7 @@ def _regular_files(root: str):
 
 
 def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
-    """Snapshot the resource tree: one entry per regular file, sorted by URI.
+    """Snapshot the resource tree: one entry per ``tree_files`` file, sorted by URI.
 
     Exclude patterns are matched against each file's relative POSIX path.
     Unreadable files are logged and skipped; the inventory is valid by
@@ -217,7 +225,7 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
     seen: dict[str, tuple[tuple, dict[str, str]]] = {}
     excludes = config.exclude_patterns
     entries: list[ResourceEntry] = []
-    for path, rel in _regular_files(os.fspath(root)):
+    for path, rel in tree_files(root):
         if excludes and any(fnmatch.fnmatch(rel, pat) for pat in excludes):
             continue
         try:

@@ -1,7 +1,9 @@
 """HTTP primitives: conditional fetch with retries, streaming download, test server.
 
 The client side is deliberately small: GET with conditional validators,
-bounded redirects, and a short retry schedule for transient failures. The
+bounded redirects, and a short retry schedule for transient failures. A
+download only streams a body into a file object its caller supplies and
+hashes it; the caller (through ``atomic``) makes the file durable. The
 server side exposes a directory tree with correct Last-Modified, strong
 content-based ETags, and 304 handling, enough to run a full source against
 in tests and demos.
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import email.utils
 import logging
-import os
 import sys
 import threading
 import time
@@ -19,11 +20,12 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import BinaryIO
 from urllib.parse import urlsplit
 
 import requests
 
-from .digests import DEFAULT_ALGORITHM, hash_bytes, new_hasher, parse_labelled_digest
+from .digests import DEFAULT_ALGORITHM, hash_bytes, new_hasher
 from .source import PathMappingError, local_path_for_uri, mime_type_for
 
 logger = logging.getLogger(__name__)
@@ -146,44 +148,30 @@ def fetch(uri: str, cached: FetchResult | None = None) -> FetchResult:
         )
 
 
-def download_to(uri: str, temp_path: Path, expected_digest: str | None = None) -> tuple[int, str]:
-    """Stream a resource body to ``temp_path``, hashing incrementally.
+def download_to(uri: str, out: BinaryIO, listed: tuple[str, str] | None = None) -> tuple[int, str]:
+    """Stream a resource body into the binary file ``out``, hashing it as it goes.
 
-    Returns (length, "algo:hex"). The digest algorithm comes from
-    ``expected_digest`` when given, else md5. On mismatch or any error the
-    temp file is removed; the caller owns the final rename.
+    ``listed`` is the ``(algorithm, hex)`` digest the resource is listed
+    with; without it the body is hashed with md5. Returns (length,
+    "algo:hex"). A body that does not match ``listed`` raises
+    DigestMismatchError. The caller owns ``out`` and what becomes of it.
     """
-    temp_path = Path(temp_path)
-    try:
-        if expected_digest is not None:
-            algo, expected_hex = parse_labelled_digest(expected_digest)
-        else:
-            algo, expected_hex = DEFAULT_ALGORITHM, None
-        hasher = new_hasher(algo)
-        length = 0
-        resp = _get_with_retries(uri, {})
-        with resp:
-            if resp.status_code >= 400:
-                raise TransportError(f"HTTP {resp.status_code} fetching {uri}", resp.status_code)
-            with open(temp_path, "wb") as out:
-                for chunk in resp.iter_content(_CHUNK):
-                    out.write(chunk)
-                    hasher.update(chunk)
-                    length += len(chunk)
-                out.flush()
-                os.fsync(out.fileno())
-        hexdigest = hasher.hexdigest()
-        if expected_hex is not None and hexdigest != expected_hex:
-            raise DigestMismatchError(
-                f"digest mismatch for {uri}: expected {algo}:{expected_hex}, got {algo}:{hexdigest}"
-            )
-        return length, f"{algo}:{hexdigest}"
-    except BaseException:
-        try:
-            temp_path.unlink()
-        except OSError:
-            pass
-        raise
+    algo, expected_hex = listed or (DEFAULT_ALGORITHM, None)
+    hasher = new_hasher(algo)
+    length = 0
+    with _get_with_retries(uri, {}) as resp:
+        if resp.status_code >= 400:
+            raise TransportError(f"HTTP {resp.status_code} fetching {uri}", resp.status_code)
+        for chunk in resp.iter_content(_CHUNK):
+            out.write(chunk)
+            hasher.update(chunk)
+            length += len(chunk)
+    hexdigest = hasher.hexdigest()
+    if expected_hex is not None and hexdigest != expected_hex:
+        raise DigestMismatchError(
+            f"digest mismatch for {uri}: expected {algo}:{expected_hex}, got {algo}:{hexdigest}"
+        )
+    return length, f"{algo}:{hexdigest}"
 
 
 class FileRequestHandler(BaseHTTPRequestHandler):

@@ -15,6 +15,26 @@ def fast_backoff(monkeypatch):
     monkeypatch.setattr(transport, "DEFAULT_BACKOFF", FAST_BACKOFF)
 
 
+# Awkward but valid file names, and names no URI maps onto: reserved
+# ``.resync`` files and directories, and names holding a backslash.
+AWKWARD_TREE = {
+    "a b.txt": b"space",
+    "100%.txt": b"percent",
+    "why?.txt": b"question mark",
+    "#tag.txt": b"hash",
+    "caf\u00e9/\u65e5\u672c.txt": b"unicode",
+    ".hidden": b"dotfile",
+    "d/e/f/nested.txt": b"nested",
+    ".resync.state.json": b"reserved file",
+    "d/.resync-x/a.dat": b"in a reserved directory",
+    "b\\c.txt": b"backslash",
+    "x\\y/z.txt": b"in a backslash directory",
+}
+AWKWARD_LISTED = sorted(
+    rel for rel in AWKWARD_TREE if ".resync" not in rel and "\\" not in rel
+)
+
+
 def write_tree(root: Path, files: dict[str, bytes]) -> None:
     for rel, body in files.items():
         path = root / rel

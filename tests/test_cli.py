@@ -70,6 +70,34 @@ class TestExitCodes:
         assert rc == 2
         assert "bad_uri" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--parallel", "0"], ["--no-delete"], ["--stale-wins"]])
+    def test_audit_takes_no_policy(self, tmp_path, flags):
+        """Audit applies nothing, so a policy flag is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["audit", "--source", "http://127.0.0.1:1/rl.xml",
+                     "--store", tmp_path / "s", *flags])
+        assert exc.value.code == 64
+
+    @pytest.mark.parametrize("command", ["baseline", "sync"])
+    def test_bad_policy_flag_is_64(self, tmp_path, capsys, command):
+        rc = run_cli([command, "--source", "http://127.0.0.1:1/x.xml",
+                      "--store", tmp_path / "s", "--parallel", "0"])
+        assert rc == 64
+        assert "max_parallel_transfers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("line", [
+        "max_parallel_transfers = x", "max_parallel_transfers = 0", "apply_deletes = maybe",
+    ])
+    def test_bad_policy_config_value_is_64(self, tmp_path, capsys, line):
+        ini = tmp_path / "sync.ini"
+        ini.write_text(f"[destination]\n{line}\n")
+        rc = run_cli(["baseline", "--config", ini, "--source", "http://127.0.0.1:1/rl.xml",
+                      "--store", tmp_path / "s"])
+        assert rc == 64
+        assert capsys.readouterr().err.startswith("error: usage: bad sync policy")
+        assert not (tmp_path / "s").exists()
+
 
 class TestListCommand:
     def test_writes_list_and_prints_count(self, tmp_path, capsys):

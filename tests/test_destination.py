@@ -2,6 +2,7 @@ import fcntl
 import json
 import os
 import re
+import socket
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -37,7 +38,14 @@ from sitemapsync.simulator import SimConfig, SourceSimulator
 from sitemapsync.source import ChangeLog, SourceConfig, publish_resource_list, scan
 from sitemapsync.digests import hash_file
 
-from conftest import assert_trees_equal, read_tree, set_tree_mtimes, write_tree
+from conftest import (
+    AWKWARD_LISTED,
+    AWKWARD_TREE,
+    assert_trees_equal,
+    read_tree,
+    set_tree_mtimes,
+    write_tree,
+)
 
 UTC = timezone.utc
 T_BASE = datetime(2013, 1, 1, tzinfo=UTC)  # mtime of freshly written fixtures
@@ -236,6 +244,55 @@ class TestBaseline:
             assert report.failed == 1, report.failures
             assert not list(store.glob(".resync.tmp-*"))
 
+    @pytest.mark.parametrize("server", ["refusing", "serving"])
+    def test_failed_download_leaves_no_temp_file(self, site, tmp_path, server):
+        """A refused connection or a 404 takes its temp file with it."""
+        web, res, handle, res_base = site
+        if server == "refusing":
+            with socket.socket() as sock:  # a port that was just free and is now closed
+                sock.bind(("127.0.0.1", 0))
+                res_base = f"http://127.0.0.1:{sock.getsockname()[1]}/res/"
+        entry = ResourceEntry(res_base + "phantom.bin", T0, ResourceMetadata())
+        doc = SyncDocument(CapabilityKind.RESOURCELIST, T0, [entry])
+        (web / "resourcelist.xml").write_bytes(serialize_document(doc))
+        store = tmp_path / "store"
+        state = load_state(store / STATE_FILE_NAME)
+        report = baseline_sync(handle.url + "resourcelist.xml", store, state)
+        assert report.failed == 1, report.failures
+        assert not list(store.glob(".resync.tmp-*"))
+        assert read_tree(store) == {}
+
+    def test_awkward_names_are_all_stored(self, site, tmp_path):
+        """Every file a source lists maps into the store; the names it skips
+        (reserved, backslash) stop nothing."""
+        web, res, handle, res_base = site
+        write_tree(res, AWKWARD_TREE)
+        publish_list(web, res, res_base)
+        url = handle.url + "resourcelist.xml"
+        store = tmp_path / "store"
+        state = load_state(store / STATE_FILE_NAME)
+        report = baseline_sync(url, store, state)
+        assert (report.created, report.failed) == (len(AWKWARD_LISTED), 0), report.failures
+        assert read_tree(store) == {rel: AWKWARD_TREE[rel] for rel in AWKWARD_LISTED}
+        assert audit(url, store, state).clean
+
+    def test_store_symlink_is_not_a_store_file(self, site, tmp_path):
+        """A store is its regular files: an extraneous symlink is neither
+        reported nor removed."""
+        web, res, handle, res_base = site
+        write_tree(res, {"a.txt": b"alpha"})
+        publish_list(web, res, res_base)
+        url = handle.url + "resourcelist.xml"
+        store = tmp_path / "store"
+        state = load_state(store / STATE_FILE_NAME)
+        baseline_sync(url, store, state)
+        (store / "link.txt").symlink_to(store / "a.txt")
+        (store / "linkdir").symlink_to(res, target_is_directory=True)
+        assert audit(url, store, state).clean
+        report = baseline_sync(url, store, state)
+        assert (report.deleted, report.failed) == (0, 0)
+        assert (store / "link.txt").is_symlink() and (store / "linkdir").is_symlink()
+
     def test_partial_failure_keeps_successes(self, site, tmp_path):
         web, res, handle, res_base = site
         write_tree(res, {"ok.txt": b"fine"})
@@ -336,10 +393,18 @@ class TestBaseline:
 
     @pytest.mark.parametrize("name", [STATE_FILE_NAME, ".resync.lock", "d/.resync-x/a.dat"])
     def test_reserved_names_are_rejected(self, site, tmp_path, name):
-        """A source file must not take the place of the store's own files."""
+        """A listed URI must not take the place of the store's own files.
+
+        ``scan`` never lists such a name, so the list is written by hand, as
+        another source could write it."""
         web, res, handle, res_base = site
-        write_tree(res, {"a.dat": b"a", name: b"not the store's"})
-        publish_list(web, res, res_base)
+        write_tree(res, {"a.dat": b"a"})
+        entries = [
+            ResourceEntry(source.uri_for_relpath(res_base, rel), T0, ResourceMetadata())
+            for rel in sorted(["a.dat", name])
+        ]
+        doc = SyncDocument(CapabilityKind.RESOURCELIST, T0, entries)
+        (web / "resourcelist.xml").write_bytes(serialize_document(doc))
         url = handle.url + "resourcelist.xml"
         store = tmp_path / "store"
         state_path = store / STATE_FILE_NAME

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used by that module, and
-only ``source`` percent-encodes or decodes URI path segments."""
+"""Every name a module of the package imports is used by that module, only
+``source`` percent-encodes or decodes URI path segments, and one module owns
+each file-system primitive of the file layer."""
 
 import ast
 from pathlib import Path
@@ -64,6 +65,48 @@ def test_only_source_quotes_uri_segments(path):
     }
     if path.name != "source.py":
         assert not names & {"quote", "unquote"}
+
+
+# One file layer: which module alone may use each file-system primitive.
+FILE_LAYER_OWNERS = {
+    "tempfile": "atomic.py",
+    "os.fsync": "atomic.py",
+    "os.replace": "atomic.py",
+    "os.scandir": "source.py",
+    "os.walk": "source.py",
+}
+
+
+def file_layer_uses(source: str) -> set[str]:
+    """Which of ``FILE_LAYER_OWNERS`` a module imports or references."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found & FILE_LAYER_OWNERS.keys()
+
+
+def test_finds_file_layer_uses():
+    source = (
+        "import os, tempfile\n"
+        "from os import walk\n"
+        "os.replace('a', 'b')\n"
+        "f = os.fsync\n"
+        "os.path.join('a')\n"
+    )
+    assert file_layer_uses(source) == {"tempfile", "os.walk", "os.replace", "os.fsync"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_file_layer(path):
+    """Only ``atomic`` makes files durable, and only ``source`` walks a tree."""
+    uses = file_layer_uses(path.read_text(encoding="utf-8"))
+    assert {name for name in uses if FILE_LAYER_OWNERS[name] != path.name} == set()
 
 
 def check_entry_callers(source: str) -> set[str]:

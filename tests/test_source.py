@@ -24,6 +24,7 @@ from sitemapsync.source import (
     diff_inventories,
     emit_changelists,
     generate_resource_list,
+    local_path_for_uri,
     mime_type_for,
     publish_changelists,
     publish_resource_list,
@@ -31,8 +32,9 @@ from sitemapsync.source import (
     web_root_uri,
 )
 from sitemapsync.codec import parse_document
+from sitemapsync.transport import fetch
 
-from conftest import read_tree, set_tree_mtimes, write_tree
+from conftest import AWKWARD_LISTED, AWKWARD_TREE, read_tree, set_tree_mtimes, write_tree
 
 UTC = timezone.utc
 BASE = "http://example.com/"
@@ -103,6 +105,16 @@ class TestScan:
         (root / "sub" / "loop").symlink_to(root / "sub", target_is_directory=True)
         inv = scan(_config(root))
         assert list(inv.items) == [BASE + "a.txt", BASE + "sub/b.txt"]
+
+    def test_every_listed_uri_maps_back_and_is_served(self, tmp_path, http_server):
+        """A source never lists a name the URI<->path rule rejects."""
+        write_tree(tmp_path / "res", AWKWARD_TREE)
+        base = http_server(tmp_path).url + "res/"
+        inv = scan(SourceConfig(tmp_path / "res", base))
+        rels = {uri: local_path_for_uri(uri, base) for uri in inv.items}
+        assert sorted(rels.values()) == AWKWARD_LISTED
+        for uri, rel in rels.items():
+            assert fetch(uri).body == AWKWARD_TREE[rel]
 
     def test_nested_tree_sorted_with_digests_lengths_and_whole_second_lastmod(self, tmp_path):
         files = {"e": b"eeee", "a/d": b"dd", "a/b/c": b"c"}

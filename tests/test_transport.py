@@ -1,4 +1,5 @@
 import http.client
+import io
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -8,6 +9,7 @@ import pytest
 import requests
 
 from sitemapsync import transport
+from sitemapsync.atomic import atomic_file
 from sitemapsync.codec import parse_document
 from sitemapsync.transport import (
     SERVE_POLL_INTERVAL,
@@ -202,49 +204,57 @@ class TestFetchRetries:
 
 
 class TestDownloadTo:
+    """``download_to`` streams into the file object it is given. The three
+    failure cases wrap it in ``atomic_file`` as a destination does, and check
+    that the temp file goes with the failure."""
+
+    @staticmethod
+    def _into_store(store: Path, uri: str, listed=None):
+        store.mkdir()
+        with atomic_file(store / "f.bin", store) as out:
+            return download_to(uri, out, listed)
+
     def test_three_byte_fixture(self, tmp_path, http_server):
         write_tree(tmp_path / "web", {"f.bin": b"abc"})
         handle = http_server(tmp_path / "web")
-        temp = tmp_path / "dl.part"
-        length, digest = download_to(handle.url + "f.bin", temp)
+        out = io.BytesIO()
+        length, digest = download_to(handle.url + "f.bin", out)
         assert (length, digest) == (3, f"md5:{MD5_ABC}")
-        assert temp.read_bytes() == b"abc"
+        assert out.getvalue() == b"abc"
 
     def test_expected_digest_verified(self, tmp_path, http_server):
         write_tree(tmp_path / "web", {"f.bin": b"abc"})
         handle = http_server(tmp_path / "web")
-        temp = tmp_path / "dl.part"
-        length, digest = download_to(handle.url + "f.bin", temp, expected_digest=f"md5:{MD5_ABC}")
-        assert length == 3
+        length, digest = download_to(handle.url + "f.bin", io.BytesIO(), ("md5", MD5_ABC))
+        assert (length, digest) == (3, f"md5:{MD5_ABC}")
 
     def test_mismatch_removes_temp_file(self, tmp_path, http_server):
         write_tree(tmp_path / "web", {"f.bin": b"abc"})
         handle = http_server(tmp_path / "web")
-        temp = tmp_path / "dl.part"
         with pytest.raises(DigestMismatchError):
-            download_to(handle.url + "f.bin", temp, expected_digest="md5:" + "0" * 32)
-        assert not temp.exists()
+            self._into_store(tmp_path / "store", handle.url + "f.bin", ("md5", "0" * 32))
+        assert list((tmp_path / "store").iterdir()) == []
 
     def test_refused_connection_removes_temp_file(self, tmp_path):
         with socket.socket() as sock:  # a port that was just free and is now closed
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        temp = tmp_path / "dl.part"
-        temp.write_bytes(b"")  # callers create the temp file before the download
         with pytest.raises(TransportError):
-            download_to(f"http://127.0.0.1:{port}/f.bin", temp)
-        assert not temp.exists()
+            self._into_store(tmp_path / "store", f"http://127.0.0.1:{port}/f.bin")
+        assert list((tmp_path / "store").iterdir()) == []
 
     def test_zero_byte_resource(self, tmp_path, http_server):
         write_tree(tmp_path / "web", {"empty": b""})
         handle = http_server(tmp_path / "web")
-        temp = tmp_path / "dl.part"
-        length, digest = download_to(handle.url + "empty", temp)
+        out = io.BytesIO()
+        length, digest = download_to(handle.url + "empty", out)
         assert (length, digest) == (0, f"md5:{MD5_EMPTY}")
+        assert out.getvalue() == b""
 
     def test_http_error_removes_temp_file(self, tmp_path, http_server):
-        handle = http_server(tmp_path)
-        temp = tmp_path / "dl.part"
-        with pytest.raises(TransportError):
-            download_to(handle.url + "missing", temp)
-        assert not temp.exists()
+        (tmp_path / "web").mkdir()
+        handle = http_server(tmp_path / "web")
+        with pytest.raises(TransportError) as info:
+            self._into_store(tmp_path / "store", handle.url + "missing")
+        assert info.value.status == 404
+        assert list((tmp_path / "store").iterdir()) == []
