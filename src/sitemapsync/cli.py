@@ -20,6 +20,7 @@ import logging
 import signal
 import sys
 import threading
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -41,11 +42,11 @@ from .model import (
     Inventory,
     SyncReport,
     ValidationError,
-    as_utc_instant,
 )
-from .simulator import SIM_EPOCH, SimConfig, run as run_simulation, publish as publish_simulation
+from .simulator import SimConfig, SourceSimulator, publish as publish_simulation
 from .source import (
     CURRENT_CHANGELIST_NAME,
+    DAY_SECONDS,
     ChangeLog,
     PathMappingError,
     SourceConfig,
@@ -70,13 +71,21 @@ EXIT_USAGE = 64
 logger = logging.getLogger(__name__)
 
 
-# Every config key a command reads, per INI section; any other is a usage error.
+def _csv(value: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in value.split(",") if x.strip())
+
+
+# Every config key a command reads, per INI section, with its type; any other
+# is a usage error. A flag that overrides a key has the key as its dest.
 CONFIG_KEYS = {
-    "source": {"root", "base_uri", "digests", "excludes", "period"},
-    "destination": {"apply_deletes", "max_parallel_transfers", "stale_wins", "state"},
+    "source": {"root": Path, "base_uri": str, "digests": _csv, "excludes": _csv, "period": int},
+    "destination": {
+        "apply_deletes": bool, "max_parallel_transfers": int, "stale_wins": bool, "state": Path,
+    },
     "simulator": {
-        "seed", "n_initial", "event_rate", "p_create", "p_update", "p_delete",
-        "body_min", "body_max", "duration", "burst_size", "base_uri",
+        "seed": int, "n_initial": int, "event_rate": float, "p_create": float, "p_update": float,
+        "p_delete": float, "body_min": int, "body_max": int, "duration": float,
+        "burst_size": int, "base_uri": str,
     },
 }
 
@@ -111,45 +120,35 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
-def _opt(args_value, cfg: configparser.ConfigParser, section: str, option: str, default, cast):
-    """flag > config file > default."""
-    if args_value is not None:
-        return args_value
-    if cfg.has_option(section, option):
-        raw = cfg.get(section, option)
-        if cast is bool:
-            return cfg.getboolean(section, option)
-        return cast(raw)
-    return default
+def _settings(args, cfg: configparser.ConfigParser, section: str, *keys: str) -> dict:
+    """The ``keys`` (default: all) of ``section`` that a flag, or else the config
+    file, sets, cast by ``CONFIG_KEYS``; a key neither sets keeps its library default."""
+    out = {}
+    for key in keys or CONFIG_KEYS[section]:
+        cast, value = CONFIG_KEYS[section][key], getattr(args, key, None)
+        if value is None and cfg.has_option(section, key):
+            value = cfg.getboolean(section, key) if cast is bool else cfg.get(section, key)
+        if value is not None:
+            out[key] = cast(value)
+    return out
 
 
 def _source_config(args, cfg) -> SourceConfig:
-    root = _opt(getattr(args, "root", None), cfg, "source", "root", None, Path)
-    base_uri = _opt(getattr(args, "base_uri", None), cfg, "source", "base_uri", None, str)
-    if root is None or base_uri is None:
+    found = _settings(args, cfg, "source", "root", "base_uri", "digests", "excludes")
+    if "root" not in found or "base_uri" not in found:
         raise ValueError("--root and --base-uri are required (flag or [source] config)")
-    digests = _opt(getattr(args, "digests", None), cfg, "source", "digests", "md5", str)
-    excludes = _opt(getattr(args, "exclude", None), cfg, "source", "excludes", "", str)
-    config = SourceConfig(
-        root_dir=Path(root),
-        base_uri=base_uri,
-        digest_algorithms=tuple(x.strip() for x in str(digests).split(",") if x.strip()),
-        exclude_patterns=tuple(x.strip() for x in str(excludes).split(",") if x.strip()),
-    )
+    names = {"root": "root_dir", "base_uri": "base_uri", "digests": "digest_algorithms",
+             "excludes": "exclude_patterns"}
+    config = SourceConfig(**{names[key]: value for key, value in found.items()})
     config.validate()
     return config
 
 
 def _policy(args, cfg) -> SyncPolicy:
     """Flags over config file; a value failing its cast or ``validate`` is a usage error."""
+    keys = [f.name for f in fields(SyncPolicy)]
     try:
-        policy = SyncPolicy(
-            apply_deletes=_opt(args.apply_deletes, cfg, "destination", "apply_deletes", True, bool),
-            max_parallel_transfers=_opt(
-                args.parallel, cfg, "destination", "max_parallel_transfers", 4, int
-            ),
-            stale_wins=_opt(args.stale_wins, cfg, "destination", "stale_wins", False, bool),
-        )
+        policy = SyncPolicy(**_settings(args, cfg, "destination", *keys))
         policy.validate()
     except ValueError as exc:
         raise _UsageError(f"bad sync policy: {exc}") from None
@@ -157,9 +156,12 @@ def _policy(args, cfg) -> SyncPolicy:
 
 
 def _state_path(args, cfg) -> Path:
-    store = Path(args.store)
-    default = store / STATE_FILE_NAME
-    return Path(_opt(getattr(args, "state", None), cfg, "destination", "state", default, Path))
+    default = Path(args.store) / STATE_FILE_NAME
+    return _settings(args, cfg, "destination", "state").get("state", default)
+
+
+def _period(args, cfg) -> int:
+    return _settings(args, cfg, "source", "period").get("period", DAY_SECONDS)
 
 
 def _print_report(report: SyncReport | AuditReport, fmt: str) -> None:
@@ -244,7 +246,7 @@ def cmd_changes(args) -> int:
     cfg = _load_ini(args.config)
     out_dir = Path(args.out) if args.out else None
     if args.log:
-        period = int(_opt(args.period, cfg, "source", "period", 86_400, int))
+        period = _period(args, cfg)
         log = ChangeLog.load(Path(args.log))
         docs = emit_changelists(log, period)
         names = [changelist_window_name(doc.modified, period) for doc in docs]
@@ -297,28 +299,18 @@ def cmd_serve(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_ini(args.config)
-    sim_config = SimConfig(
-        seed=int(_opt(args.seed, cfg, "simulator", "seed", 0, int)),
-        n_initial=int(_opt(args.n_initial, cfg, "simulator", "n_initial", 100, int)),
-        event_rate=float(_opt(args.rate, cfg, "simulator", "event_rate", 1.4, float)),
-        p_create=float(_opt(None, cfg, "simulator", "p_create", 0.1, float)),
-        p_update=float(_opt(None, cfg, "simulator", "p_update", 0.8, float)),
-        p_delete=float(_opt(None, cfg, "simulator", "p_delete", 0.1, float)),
-        body_size_range=(
-            int(_opt(None, cfg, "simulator", "body_min", 64, int)),
-            int(_opt(None, cfg, "simulator", "body_max", 1024, int)),
-        ),
-        duration=float(_opt(args.duration, cfg, "simulator", "duration", 60.0, float)),
-        burst_size=_opt(args.burst, cfg, "simulator", "burst_size", None, int),
-    )
-    base_uri = _opt(args.base_uri, cfg, "simulator", "base_uri", None, str)
+    found = _settings(args, cfg, "simulator")
+    base_uri = found.pop("base_uri", None)
     if base_uri is None:
         raise ValueError("--base-uri is required (resources are published under it)")
-    period = int(_opt(args.period, cfg, "source", "period", 86_400, int))
+    lo, hi = SimConfig.body_size_range
+    body_size_range = (found.pop("body_min", lo), found.pop("body_max", hi))
+    period = _period(args, cfg)
     out = Path(args.out)
     sim_root = out / "res"
-    log = run_simulation(sim_config, sim_root, base_uri, start=SIM_EPOCH)
-    end = as_utc_instant(SIM_EPOCH + timedelta(seconds=1 + sim_config.duration))
+    sim = SourceSimulator(SimConfig(body_size_range=body_size_range, **found), sim_root, base_uri)
+    log = sim.run_to_completion()
+    end = sim.end_time
     # Close every window for publication, but stamp the resource list with
     # the latest instant the snapshot can contain so that a follow-up
     # incremental sync never skips events recorded just after it.
@@ -354,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-uri", dest="base_uri", help="URI prefix resources live under")
     p.add_argument("--out", help="directory for the generated document(s)")
     p.add_argument("--digests", help="comma-separated digest algorithms (default md5)")
-    p.add_argument("--exclude", help="comma-separated glob patterns to skip")
+    p.add_argument("--exclude", dest="excludes", help="comma-separated glob patterns to skip")
     p.add_argument("--list-base-uri", dest="list_base_uri",
                    help="URI prefix for partitioned list members (default: --out's URL)")
     p.set_defaults(func=cmd_list)
@@ -376,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_dest_args(p):
         add_store_args(p)
-        p.add_argument("--parallel", type=int, help="max parallel transfers")
+        p.add_argument("--parallel", dest="max_parallel_transfers", type=int,
+                       help="max parallel transfers")
         p.add_argument("--no-delete", dest="apply_deletes", action="store_false", default=None,
                        help="keep local files the source no longer lists")
         p.add_argument("--stale-wins", dest="stale_wins", action="store_true", default=None,
@@ -406,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-uri", dest="base_uri", help="URI prefix the resources will be served at")
     p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--n-initial", dest="n_initial", type=int, help="initial resource count")
-    p.add_argument("--rate", type=float, help="events per second")
+    p.add_argument("--rate", dest="event_rate", type=float, help="events per second")
     p.add_argument("--duration", type=float, help="virtual seconds to simulate")
-    p.add_argument("--burst", type=int, help="release exactly N events at one instant instead")
+    p.add_argument("--burst", dest="burst_size", type=int,
+                   help="release exactly N events at one instant instead")
     p.add_argument("--period", type=int, help="change list window seconds (default 86400)")
     p.set_defaults(func=cmd_simulate)
     return parser

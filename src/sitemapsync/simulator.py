@@ -203,9 +203,10 @@ def run(
     return sim.run_to_completion()
 
 
-def snapshot(sim_root: Path, base_uri: str, taken_at: datetime | None = None) -> Inventory:
+def snapshot(sim_root: Path, base_uri: str, taken_at: datetime | None = None,
+             memo: dict | None = None) -> Inventory:
     """Inventory of the simulated tree, hashed with md5 as the event log is."""
-    return scan(SourceConfig(root_dir=Path(sim_root), base_uri=base_uri), taken_at=taken_at)
+    return scan(SourceConfig(Path(sim_root), base_uri), taken_at=taken_at, memo=memo)
 
 
 def publish(
@@ -225,7 +226,7 @@ def publish(
     list are addressed under the web root's URL when ``sim_root`` lies in
     ``web_root`` and ``base_uri`` ends with its relative path.
     """
-    inv = snapshot(sim_root, base_uri, taken_at=now)
+    inv = snapshot(sim_root, base_uri, taken_at=now, memo=log.digest_memo)
     modified = as_utc_instant(list_modified if list_modified is not None else now)
     list_base_uri = web_root_uri(sim_root, base_uri, web_root)
     written = publish_resource_list(inv, modified, web_root, list_base_uri)

@@ -7,8 +7,8 @@ closed window, and ``changelist.xml`` mirroring the newest closed window.
 ``write_documents`` writes every one of them. Publishing seals the closed
 windows (``ChangeLog.sealed``): an event logged later lands in the open
 window, so a window's file is written once and a web root belongs to one log.
-``scan`` reuses the digests of files whose stat has not changed since an
-earlier scan of the same tree, so a publish hashes about what changed.
+``scan`` reuses the digests that a log's memo (``ChangeLog.digest_memo``)
+holds for files whose stat is unchanged, so a publish hashes about what changed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import fnmatch
 import logging
 import os
-import threading
+import re
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -51,17 +51,11 @@ DAY_SECONDS = 86_400
 
 # Names the destination's lock, state and temp files; no URI maps onto one.
 RESERVED_PREFIX = ".resync"
+# A name that is not valid UTF-8 decodes to lone surrogates, which no URI holds.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
-# Digest cache of ``scan``: (tree realpath, algorithms) -> {relative path:
-# ((st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns), digests)}, holding
-# the files of the tree's latest scan, for the most recently scanned trees.
-# It is module-level because publishing goes through free functions
-# (``simulator.publish``), so no long-lived object could hold it.
-_DIGEST_CACHE: dict[tuple[str, tuple[str, ...]], dict[str, tuple[tuple, dict[str, str]]]] = {}
-_DIGEST_CACHE_LOCK = threading.Lock()
-DIGEST_CACHE_TREES = 4
 # A file whose ctime or mtime is not older than the scan's start minus this
-# margin is hashed and not cached (git's racy-index rule): a rewrite within
+# margin is hashed and not memoized (git's racy-index rule): a rewrite within
 # the file system's clock granularity, or one pinned to the same mtime as the
 # simulator does, could otherwise leave the stat unchanged.
 RACY_MARGIN_NS = 1_000_000_000
@@ -115,9 +109,11 @@ def uri_for_relpath(base_uri: str, relpath: str) -> str:
 
 
 def _unsafe_segment(seg: str) -> bool:
-    """Whether no URI maps onto a path segment: empty or dot, reserved, or holding a separator."""
+    """Whether no URI maps onto a path segment: empty or dot, reserved, holding a
+    separator, or not encodable as UTF-8."""
     return seg.startswith(RESERVED_PREFIX) or seg in ("", ".", "..") or (
-        "/" in seg or "\\" in seg or "\x00" in seg)
+        "/" in seg or "\\" in seg or "\x00" in seg) or (
+        not seg.isascii() and _SURROGATE.search(seg) is not None)
 
 
 def local_path_for_uri(uri: str, prefix: str) -> str:
@@ -195,7 +191,8 @@ def tree_files(root: str | os.PathLike):
                 yield child.path, prefix + child.name
 
 
-def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
+def scan(config: SourceConfig, taken_at: datetime | None = None, *,
+         memo: dict | None = None) -> Inventory:
     """Snapshot the resource tree: one entry per ``tree_files`` file, sorted by URI.
 
     Exclude patterns are matched against each file's relative POSIX path.
@@ -203,11 +200,12 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
     construction. ``taken_at`` defaults to the wall clock and exists so callers
     driving a virtual clock can pin the snapshot instant.
 
-    A file's digests are reused from the previous scan of the same tree with
-    the same algorithms when its stat (device, inode, size, mtime and ctime,
-    taken before hashing) is unchanged. Only files whose ctime and mtime are
-    older than the scan's start minus ``RACY_MARGIN_NS`` are cached, so a
-    rewrite that leaves the stat unchanged is still hashed.
+    A file's digests are reused from ``memo``, a dict the caller keeps, when its
+    latest scan was of the same tree and algorithms and the file's stat (device,
+    inode, size, mtime and ctime, taken before hashing) is unchanged. The scan
+    then leaves in the memo only its own files whose ctime and mtime are older
+    than its start minus ``RACY_MARGIN_NS``, so a rewrite that leaves the stat
+    unchanged is still hashed. Without a memo every file is hashed.
     """
     config.validate()
     root = Path(config.root_dir)
@@ -219,9 +217,8 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
 
     settled_before = time.time_ns() - RACY_MARGIN_NS
     algorithms = tuple(config.digest_algorithms)
-    cache_key = (os.path.realpath(root), algorithms)
-    with _DIGEST_CACHE_LOCK:
-        cached = _DIGEST_CACHE.pop(cache_key, {})
+    key = (os.path.realpath(root), algorithms)
+    cached = memo.get(key, {}) if memo is not None else {}
     seen: dict[str, tuple[tuple, dict[str, str]]] = {}
     excludes = config.exclude_patterns
     entries: list[ResourceEntry] = []
@@ -250,10 +247,9 @@ def scan(config: SourceConfig, taken_at: datetime | None = None) -> Inventory:
                 ),
             )
         )
-    with _DIGEST_CACHE_LOCK:
-        _DIGEST_CACHE[cache_key] = seen
-        while len(_DIGEST_CACHE) > DIGEST_CACHE_TREES:
-            del _DIGEST_CACHE[next(iter(_DIGEST_CACHE))]
+    if memo is not None:
+        memo.clear()
+        memo[key] = seen
 
     entries.sort(key=lambda e: e.uri)
     return Inventory(
@@ -363,6 +359,7 @@ class ChangeLog:
     def __init__(self, records: list[ChangeRecord] | None = None):
         self.records: list[ChangeRecord] = []
         self.sealed: datetime | None = None
+        self.digest_memo: dict = {}  # ``scan``'s memo of the tree it publishes; not saved
         for rec in records or []:
             self.append(rec.instant, rec.uri, rec.change, rec.metadata)
 

@@ -1,8 +1,6 @@
 import hashlib
 import os
 import random
-import sys
-import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path, PurePath
 
@@ -116,6 +114,15 @@ class TestScan:
         for uri, rel in rels.items():
             assert fetch(uri).body == AWKWARD_TREE[rel]
 
+    def test_name_that_is_not_utf8_is_skipped(self, tmp_path):
+        write_tree(tmp_path, {"a.txt": b"hi"})
+        for name in (b"\xff", b"d\xe9/b.txt"):
+            path = os.path.join(os.fsencode(tmp_path), name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(b"x")
+        assert list(scan(_config(tmp_path)).items) == [BASE + "a.txt"]
+
     def test_nested_tree_sorted_with_digests_lengths_and_whole_second_lastmod(self, tmp_path):
         files = {"e": b"eeee", "a/d": b"dd", "a/b/c": b"c"}
         write_tree(tmp_path, files)
@@ -137,7 +144,8 @@ class TestScan:
 
 
 class TestDigestCache:
-    """``scan`` reuses the digests of settled files whose stat is unchanged."""
+    """``scan`` reuses, from the memo its caller keeps, the digests of settled
+    files whose stat is unchanged."""
 
     T = datetime(2013, 1, 1, tzinfo=UTC)
 
@@ -158,23 +166,22 @@ class TestDigestCache:
         # Every file written before a scan starts counts as settled.
         monkeypatch.setattr(source, "RACY_MARGIN_NS", 0)
 
-    def _digests(self, inv):
-        return {uri: e.metadata.digests for uri, e in inv.items.items()}
-
     def test_settled_unchanged_tree_is_not_hashed_again(self, tmp_path, hashed, settled):
         write_tree(tmp_path, {"a.txt": b"hi", "d/b.bin": b"\x00\x01\x02"})
-        first = scan(_config(tmp_path), taken_at=self.T)
+        memo = {}
+        first = scan(_config(tmp_path), taken_at=self.T, memo=memo)
         assert sorted(hashed) == ["a.txt", "b.bin"]
         hashed.clear()
-        assert scan(_config(tmp_path), taken_at=self.T) == first
+        assert scan(_config(tmp_path), taken_at=self.T, memo=memo) == first
         assert hashed == []
 
     def test_one_changed_file_is_hashed_once(self, tmp_path, hashed, settled):
         write_tree(tmp_path, {"a.txt": b"hi", "b.txt": b"ho", "c.txt": b"hu"})
-        scan(_config(tmp_path))
+        memo = {}
+        scan(_config(tmp_path), memo=memo)
         hashed.clear()
         (tmp_path / "b.txt").write_bytes(b"hey")
-        inv = scan(_config(tmp_path))
+        inv = scan(_config(tmp_path), memo=memo)
         assert hashed == ["b.txt"]
         assert inv.items[BASE + "b.txt"].metadata.digests["md5"] == hashlib.md5(b"hey").hexdigest()
         assert inv.items[BASE + "a.txt"].metadata.digests["md5"] == MD5_HI
@@ -186,71 +193,85 @@ class TestDigestCache:
         path = tmp_path / "a.txt"
         path.write_bytes(b"hi")
         set_tree_mtimes(tmp_path, self.T)
-        scan(_config(tmp_path))
-        scan(_config(tmp_path))
-        assert hashed == ["a.txt", "a.txt"]  # too recent to be cached
+        memo = {}
+        scan(_config(tmp_path), memo=memo)
+        scan(_config(tmp_path), memo=memo)
+        assert hashed == ["a.txt", "a.txt"]  # too recent to be memoized
+        assert memo == {(os.path.realpath(tmp_path), ("md5",)): {}}
         path.write_bytes(b"ho")
         set_tree_mtimes(tmp_path, self.T)
-        inv = scan(_config(tmp_path))
+        inv = scan(_config(tmp_path), memo=memo)
         assert len(hashed) == 3
         assert inv.items[BASE + "a.txt"].metadata.digests["md5"] == hashlib.md5(b"ho").hexdigest()
 
     def test_other_algorithms_miss_the_cache(self, tmp_path, hashed, settled):
         write_tree(tmp_path, {"a.txt": b"hi"})
-        scan(_config(tmp_path))
-        scan(_config(tmp_path))
+        memo = {}
+        scan(_config(tmp_path), memo=memo)
+        scan(_config(tmp_path), memo=memo)
         assert hashed == ["a.txt"]
-        inv = scan(_config(tmp_path, digest_algorithms=("md5", "sha-256")))
+        inv = scan(_config(tmp_path, digest_algorithms=("md5", "sha-256")), memo=memo)
         assert hashed == ["a.txt", "a.txt"]
         assert inv.items[BASE + "a.txt"].metadata.digests == {"md5": MD5_HI, "sha-256": SHA256_HI}
 
     def test_deleted_file_is_dropped_from_the_cache(self, tmp_path, hashed, settled):
         write_tree(tmp_path, {"a.txt": b"hi", "b.txt": b"ho"})
-        scan(_config(tmp_path))
+        memo = {}
+        scan(_config(tmp_path), memo=memo)
         key = (os.path.realpath(tmp_path), ("md5",))
-        assert sorted(source._DIGEST_CACHE[key]) == ["a.txt", "b.txt"]
+        assert sorted(memo[key]) == ["a.txt", "b.txt"]
         (tmp_path / "b.txt").unlink()
-        assert sorted(scan(_config(tmp_path)).items) == [BASE + "a.txt"]
-        assert sorted(source._DIGEST_CACHE[key]) == ["a.txt"]
+        assert sorted(scan(_config(tmp_path), memo=memo).items) == [BASE + "a.txt"]
+        assert sorted(memo[key]) == ["a.txt"]
 
-    def test_only_the_latest_trees_are_cached(self, tmp_path, settled):
-        roots = [tmp_path / f"t{k}" for k in range(source.DIGEST_CACHE_TREES + 2)]
-        for root in roots:
-            write_tree(root, {"a.txt": b"hi"})
-            scan(_config(root))
-        assert len(source._DIGEST_CACHE) == source.DIGEST_CACHE_TREES
-        assert (os.path.realpath(roots[-1]), ("md5",)) in source._DIGEST_CACHE
-        assert (os.path.realpath(roots[0]), ("md5",)) not in source._DIGEST_CACHE
+    def test_scan_without_a_memo_hashes_every_file(self, tmp_path, hashed, settled):
+        write_tree(tmp_path, {"a.txt": b"hi", "d/b.bin": b"\x00"})
+        first = scan(_config(tmp_path), taken_at=self.T)
+        assert scan(_config(tmp_path), taken_at=self.T) == first
+        assert sorted(hashed) == ["a.txt", "a.txt", "b.bin", "b.bin"]
 
+    def test_memo_of_another_tree_misses(self, tmp_path, hashed, settled):
+        write_tree(tmp_path / "A", {"a.txt": b"hi"})
+        write_tree(tmp_path / "B", {"a.txt": b"hi"})
+        memo = {}
+        scan(_config(tmp_path / "A"), memo=memo)
+        inv = scan(_config(tmp_path / "B"), memo=memo)
+        assert hashed == ["a.txt", "a.txt"]
+        assert inv.items[BASE + "a.txt"].metadata.digests == {"md5": MD5_HI}
+        assert list(memo) == [(os.path.realpath(tmp_path / "B"), ("md5",))]
+        scan(_config(tmp_path / "A"), memo=memo)  # the memo holds only the latest tree
+        assert hashed == ["a.txt"] * 3
 
-    def test_concurrent_scans_stay_correct_and_bounded(self, tmp_path, settled):
-        roots = [tmp_path / f"t{k}" for k in range(source.DIGEST_CACHE_TREES + 4)]
-        for k, root in enumerate(roots):
-            write_tree(root, {"a.txt": b"%d" % k})
-        errors = []
+    def test_each_log_memoizes_only_the_tree_it_publishes(self, tmp_path, hashed, settled):
+        sims = [
+            simulator.SourceSimulator(
+                simulator.SimConfig(seed=k, n_initial=20, event_rate=2.0, duration=10.0),
+                tmp_path / f"web{k}" / "res",
+                BASE + "res/",
+            )
+            for k in (1, 2)
+        ]
 
-        def worker(offset):
-            try:
-                for i in range(100):
-                    k = (offset + i) % len(roots)
-                    digests = scan(_config(roots[k])).items[BASE + "a.txt"].metadata.digests
-                    assert digests == {"md5": hashlib.md5(b"%d" % k).hexdigest()}
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
+        def publish(sim, now):
+            hashed.clear()
+            simulator.publish(sim.root_dir, sim.root_dir.parent, BASE + "res/", sim.log, 10, now)
+            return sorted(hashed)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(source._DIGEST_CACHE) <= source.DIGEST_CACHE_TREES
+        for sim in sims:
+            assert len(publish(sim, self.T)) == 20
+        for sim in sims:
+            assert list(sim.log.digest_memo) == [(os.path.realpath(sim.root_dir), ("md5",))]
+            logged = len(sim.log)
+            sim.run_to_completion()
+            changed = {
+                rec.uri.rpartition("/")[2] for rec in sim.log.records[logged:]
+                if rec.change != ChangeKind.DELETED
+                and (sim.root_dir / rec.uri[len(BASE + "res/"):]).exists()
+            }
+            assert changed
+            assert publish(sim, sim.end_time + timedelta(seconds=10)) == sorted(changed)
+            assert list(sim.log.digest_memo) == [(os.path.realpath(sim.root_dir), ("md5",))]
+
 
 @pytest.mark.parametrize(
     "name", ["a.txt", "A.PDF", "x.tar.gz", "noext", ".txt", "..txt", "a.", "a..png", "."]
