@@ -33,7 +33,7 @@ from .model import (
     ValidationError,
 )
 from .simulator import SimConfig, SourceSimulator
-from .source import ChangeLog, SourceConfig, diff_inventories, emit_changelists, generate_resource_list, scan
+from .source import ChangeLog, SourceConfig, diff_inventories, generate_resource_list, scan
 from .transport import DigestMismatchError, FetchResult, TransportError, download_to, fetch, serve
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "baseline_sync",
     "diff_inventories",
     "download_to",
-    "emit_changelists",
     "fetch",
     "generate_resource_list",
     "incremental_sync",

@@ -50,10 +50,9 @@ from .source import (
     ChangeLog,
     PathMappingError,
     SourceConfig,
-    changelist_window_name,
     common_uri_prefix,
     diff_inventories,
-    emit_changelists,
+    publish_changelists,
     publish_resource_list,
     scan,
     web_root_uri,
@@ -133,8 +132,11 @@ def _settings(args, cfg: configparser.ConfigParser, section: str, *keys: str) ->
     return out
 
 
-def _source_config(args, cfg) -> SourceConfig:
+def _source_config(args, cfg, root: Path | None = None) -> SourceConfig:
+    """``[source]`` scan settings, flags first; a given ``root`` is the tree to scan."""
     found = _settings(args, cfg, "source", "root", "base_uri", "digests", "excludes")
+    if root is not None:
+        found["root"] = root
     if "root" not in found or "base_uri" not in found:
         raise ValueError("--root and --base-uri are required (flag or [source] config)")
     names = {"root": "root_dir", "base_uri": "base_uri", "digests": "digest_algorithms",
@@ -188,16 +190,6 @@ def _print_report(report: SyncReport | AuditReport, fmt: str) -> None:
                 print(f"  {label}: {uri}")
 
 
-def _write_documents(docs, out_dir: Path | None, names: list[str]) -> int:
-    if out_dir is None:
-        if len(docs) != 1:
-            raise ValueError("multiple documents produced; --out DIR is required")
-        sys.stdout.buffer.write(serialize_document(docs[0]))
-    else:
-        write_documents(docs, names, out_dir)
-    return EXIT_OK
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_list(args) -> int:
@@ -219,19 +211,13 @@ def _parse_resource_list(path: Path):
     return doc
 
 
-def _snapshot_inventories(args, old_path: str, new_path: str) -> tuple[Inventory, Inventory]:
-    """Snapshots may be directories (scanned) or resource list documents."""
-    old, new = Path(old_path), Path(new_path)
+def _snapshot_inventories(args, cfg) -> tuple[Inventory, Inventory]:
+    """Snapshots may be directories (scanned by ``[source]``) or resource list documents."""
+    old, new = Path(args.old), Path(args.new)
     if old.is_dir() != new.is_dir():
         raise ValueError("--old and --new must both be directories or both documents")
     if old.is_dir():
-        base_uri = getattr(args, "base_uri", None)
-        if base_uri is None:
-            raise ValueError("--base-uri is required when diffing directories")
-        return (
-            scan(SourceConfig(root_dir=old, base_uri=base_uri)),
-            scan(SourceConfig(root_dir=new, base_uri=base_uri)),
-        )
+        return scan(_source_config(args, cfg, old)), scan(_source_config(args, cfg, new))
     docs = (_parse_resource_list(old), _parse_resource_list(new))
     # shared prefix keeps both inventories comparable
     base = common_uri_prefix([e.uri for doc in docs for e in doc.entries])
@@ -244,18 +230,22 @@ def _snapshot_inventories(args, old_path: str, new_path: str) -> tuple[Inventory
 
 def cmd_changes(args) -> int:
     cfg = _load_ini(args.config)
-    out_dir = Path(args.out) if args.out else None
     if args.log:
-        period = _period(args, cfg)
+        # Not written back, since a process appending to the file would lose
+        # lines; so the seal in the file does not move.
         log = ChangeLog.load(Path(args.log))
-        docs = emit_changelists(log, period)
-        names = [changelist_window_name(doc.modified, period) for doc in docs]
-        return _write_documents(docs, out_dir, names)
+        now = datetime.now(timezone.utc)
+        written = publish_changelists(log, _period(args, cfg), Path(args.out or "."), now)
+        logger.info("wrote %s", ", ".join(str(p) for p in written))
+        return EXIT_OK
     if not (args.old and args.new):
         raise ValueError("either --log FILE or both --old and --new are required")
-    old, new = _snapshot_inventories(args, args.old, args.new)
-    doc = diff_inventories(old, new)
-    return _write_documents([doc], out_dir, [CURRENT_CHANGELIST_NAME])
+    doc = diff_inventories(*_snapshot_inventories(args, cfg))
+    if args.out:
+        write_documents([doc], [CURRENT_CHANGELIST_NAME], Path(args.out))
+    else:
+        sys.stdout.buffer.write(serialize_document(doc))
+    return EXIT_OK
 
 
 def _run_sync(args, operation) -> int:

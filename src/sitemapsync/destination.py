@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .atomic import atomic_file, atomic_write_bytes
 from .codec import parse_document
-from .digests import DEFAULT_ALGORITHM, SUPPORTED_ALGORITHMS, hash_file
+from .digests import DEFAULT_ALGORITHM, _HASHLIB_NAMES, hash_file
 from .model import (
     AuditReport,
     CapabilityKind,
@@ -241,10 +241,11 @@ def _fetch_entries(document_uri: str, expect_entry_capability: CapabilityKind) -
 
 
 def _pick_listed_digest(entry: ResourceEntry) -> tuple[str, str] | None:
-    """Strongest usable digest from a list entry: first supported algorithm."""
-    for algo in sorted(entry.metadata.digests):
-        if algo in SUPPORTED_ALGORITHMS:
-            return algo, entry.metadata.digests[algo]
+    """The strongest digest a list entry carries that this program can compute."""
+    listed = entry.metadata.digests
+    for algo in reversed(_HASHLIB_NAMES):
+        if algo in listed:
+            return algo, listed[algo]
     return None
 
 

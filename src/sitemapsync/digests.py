@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-# Algorithm labels as carried on the wire, mapped to hashlib constructor names.
+# Algorithm labels as carried on the wire, mapped to hashlib constructor names,
+# weakest to strongest.
 _HASHLIB_NAMES = {
     "md5": "md5",
     "sha-1": "sha1",
@@ -19,8 +20,6 @@ _HASHLIB_NAMES = {
 HEX_LENGTHS = {label: hashlib.new(name).digest_size * 2 for label, name in _HASHLIB_NAMES.items()}
 
 DEFAULT_ALGORITHM = "md5"
-
-SUPPORTED_ALGORITHMS = frozenset(_HASHLIB_NAMES)
 
 _CHUNK = 64 * 1024
 

@@ -4,9 +4,11 @@ The source publishes its view under a web root with fixed names:
 ``resourcelist.xml`` (the list itself or, when partitioned, the index of
 its ``resourcelist-N.xml`` members), one ``changelist-<window>.xml`` per
 closed window, and ``changelist.xml`` mirroring the newest closed window.
-``write_documents`` writes every one of them. Publishing seals the closed
-windows (``ChangeLog.sealed``): an event logged later lands in the open
-window, so a window's file is written once and a web root belongs to one log.
+``publish_resource_list`` writes the resource list through
+``write_documents``; ``publish_changelists`` alone builds and writes the
+change lists of a log's windows. Publishing seals the closed windows
+(``ChangeLog.sealed``): an event logged later lands in the open window, so a
+window's file is written once and a web root belongs to one log.
 ``scan`` reuses the digests that a log's memo (``ChangeLog.digest_memo``)
 holds for files whose stat is unchanged, so a publish hashes about what changed.
 """
@@ -446,28 +448,15 @@ def _windows(records: list[ChangeRecord], period: int, end: int):
 
 
 def _window_document(records: list[ChangeRecord], start: datetime, period: int) -> SyncDocument:
+    """The change list of one window, stamped ``modified`` with the window's last
+    second-precision instant (window end minus one second): at the protocol's
+    second granularity this is the latest lastmod the window can contain, which
+    keeps the destination's ``lastmod <= last_sync`` skip rule from swallowing
+    the next window's first events."""
     entries = [
         ResourceEntry(r.uri, r.instant, replace(r.metadata, change=r.change)) for r in records
     ]
     return SyncDocument(CapabilityKind.CHANGELIST, start + timedelta(seconds=period - 1), entries)
-
-
-def emit_changelists(log: ChangeLog, period: int) -> list[SyncDocument]:
-    """Bucket logged events into UTC-aligned windows, one change list each.
-
-    A window's document is stamped ``modified`` with the window's last
-    second-precision instant (window end minus one second): at the
-    protocol's second granularity this is the latest lastmod the window can
-    contain, which keeps the destination's ``lastmod <= last_sync`` skip
-    rule from swallowing the next window's first events.
-    """
-    if period <= 0:
-        raise ValueError("period must be positive")
-    records = log.records
-    return [
-        _window_document(records[lo:hi], start, period)
-        for start, lo, hi in _windows(records, period, len(records))
-    ]
 
 
 def changelist_window_name(instant: datetime, period: int) -> str:

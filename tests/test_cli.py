@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,18 @@ class TestChangesCommand:
             "http://e.com/c": "created",
         }
 
+    def test_diff_directories_reads_source_section(self, tmp_path, capsys):
+        old, new = tmp_path / "old", tmp_path / "new"
+        write_tree(old, {"a": b"1"})
+        write_tree(new, {"a": b"1!"})
+        ini = tmp_path / "sync.ini"
+        ini.write_text("[source]\nbase_uri = http://e.com/\ndigests = sha-256\n")
+        rc = run_cli(["changes", "--config", ini, "--old", old, "--new", new])
+        assert rc == 0
+        (entry,) = parse_document(capsys.readouterr().out.encode()).entries
+        assert entry.uri == "http://e.com/a"
+        assert entry.metadata.digests == {"sha-256": hashlib.sha256(b"1!").hexdigest()}
+
     def test_changelog_windows_to_dir(self, tmp_path):
         log_file = tmp_path / "log.tsv"
         log_file.write_text(
@@ -159,7 +173,29 @@ class TestChangesCommand:
         rc = run_cli(["changes", "--log", log_file, "--out", out])
         assert rc == 0
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["changelist-2013-01-01.xml", "changelist-2013-01-02.xml"]
+        assert names == [
+            "changelist-2013-01-01.xml", "changelist-2013-01-02.xml", "changelist.xml"
+        ]
+        newest = (out / "changelist-2013-01-02.xml").read_bytes()
+        assert (out / "changelist.xml").read_bytes() == newest
+
+    def test_changelog_open_window_is_withheld(self, tmp_path):
+        """An event in the window that holds the wall clock is not published yet:
+        a destination syncing that window early would skip later events in it."""
+        instant = datetime.now(timezone.utc).replace(microsecond=0) + timedelta(hours=1)
+        log_file = tmp_path / "log.tsv"
+        log_file.write_text(
+            f"{instant:%Y-%m-%dT%H:%M:%SZ}\tupdated\thttp://e.com/a\t-\t-\n"
+        )
+        out = tmp_path / "out"
+        rc = run_cli(["changes", "--log", log_file, "--period", 86_400, "--out", out])
+        assert rc == 0
+        assert [p.name for p in out.iterdir()] == ["changelist.xml"]
+        current = parse_document((out / "changelist.xml").read_bytes())
+        assert current.capability == CapabilityKind.CHANGELIST
+        assert current.entries == []
+        window_start = instant.replace(hour=0, minute=0, second=0)
+        assert current.modified < window_start
 
     def test_requires_inputs(self, tmp_path, capsys):
         rc = run_cli(["changes", "--old", tmp_path])

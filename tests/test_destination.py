@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import os
 import re
@@ -185,6 +186,24 @@ class TestBaseline:
             algo, hexdigest = rec.digest.split(":")
             assert hash_file(store / rec.local_path, (algo,))[algo] == hexdigest
         assert state.last_sync == T0
+
+    def test_strongest_listed_digest_is_checked(self, site, tmp_path):
+        """An entry listing a right md5 and a wrong sha-256 is judged by sha-256."""
+        web, res, handle, res_base = site
+        body = b"payload"
+        write_tree(res, {"a": body})
+        digests = {"md5": hashlib.md5(body).hexdigest(), "sha-256": "0" * 64}
+        entry = ResourceEntry(res_base + "a", T0, ResourceMetadata(digests=digests))
+        doc = SyncDocument(CapabilityKind.RESOURCELIST, T0, [entry])
+        (web / "resourcelist.xml").write_bytes(serialize_document(doc))
+        url = handle.url + "resourcelist.xml"
+        store = tmp_path / "store"
+        state = load_state(store / "state.json")
+        report = baseline_sync(url, store, state)
+        assert report.failed == 1 and [uri for uri, _ in report.failures] == [res_base + "a"]
+        write_tree(store, {"a": body})  # the served bytes, which the md5 alone would pass
+        report = audit(url, store, state)
+        assert report.stale == [res_base + "a"] and report.in_sync == 0
 
     def test_repeat_baseline_is_all_skips(self, site, tmp_path):
         web, res, handle, res_base = site

@@ -176,11 +176,11 @@ class TestBurstMode:
 
 class TestDailyEmission:
     def test_one_minute_run_fills_a_single_daily_window(self, tmp_path):
-        from sitemapsync.source import emit_changelists
-
         config = SimConfig(seed=12, n_initial=10, event_rate=1.4, duration=60.0)
-        log = run(config, tmp_path, BASE)
-        docs = emit_changelists(log, 86_400)
+        log = run(config, tmp_path / "res", BASE)
+        web = tmp_path / "web"
+        source.publish_changelists(log, 86_400, web, now=SIM_EPOCH + timedelta(days=1))
+        docs = [parse_document(p.read_bytes()) for p in web.glob("changelist-*.xml")]
         assert len(docs) == 1
         assert len(docs[0].entries) == len(log)
         lastmods = [e.lastmod for e in docs[0].entries]

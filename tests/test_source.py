@@ -20,7 +20,6 @@ from sitemapsync.source import (
     SourceConfig,
     changelist_window_name,
     diff_inventories,
-    emit_changelists,
     generate_resource_list,
     local_path_for_uri,
     mime_type_for,
@@ -570,6 +569,8 @@ class TestChangeLog:
 
 
 class TestEmitChangelists:
+    """Daily windows as ``publish_changelists`` emits them once all have closed."""
+
     def _event(self, log, day, hour, name, kind=ChangeKind.UPDATED):
         log.append(
             datetime(2013, 1, day, hour, tzinfo=UTC),
@@ -578,26 +579,34 @@ class TestEmitChangelists:
             ResourceMetadata(digests={"md5": "0" * 32}, length=0),
         )
 
-    def test_empty_log(self):
-        assert emit_changelists(ChangeLog(), 86_400) == []
+    def _windows(self, log, web):
+        """The window documents written, in window order."""
+        publish_changelists(log, 86_400, web, now=datetime(2013, 1, 3, tzinfo=UTC))
+        return [parse_document(p.read_bytes()) for p in sorted(web.glob("changelist-*.xml"))]
 
-    def test_daily_bucketing(self):
+    def test_empty_log(self, tmp_path):
+        assert self._windows(ChangeLog(), tmp_path) == []
+        current = parse_document((tmp_path / "changelist.xml").read_bytes())
+        assert current.entries == []
+        assert current.modified == datetime(2013, 1, 2, 23, 59, 59, tzinfo=UTC)
+
+    def test_daily_bucketing(self, tmp_path):
         log = ChangeLog()
         for hour, name in ((1, "a"), (5, "b"), (9, "c")):
             self._event(log, 1, hour, name)
         for hour, name in ((2, "d"), (3, "e")):
             self._event(log, 2, hour, name)
-        docs = emit_changelists(log, 86_400)
+        docs = self._windows(log, tmp_path)
         assert [len(d.entries) for d in docs] == [3, 2]
         assert docs[0].modified == datetime(2013, 1, 1, 23, 59, 59, tzinfo=UTC)
         assert docs[1].modified == datetime(2013, 1, 2, 23, 59, 59, tzinfo=UTC)
         assert all(d.capability == CapabilityKind.CHANGELIST for d in docs)
 
-    def test_successive_changes_to_one_uri_kept(self):
+    def test_successive_changes_to_one_uri_kept(self, tmp_path):
         log = ChangeLog()
         self._event(log, 1, 1, "same", ChangeKind.CREATED)
         self._event(log, 1, 2, "same", ChangeKind.UPDATED)
-        (doc,) = emit_changelists(log, 86_400)
+        (doc,) = self._windows(log, tmp_path)
         assert [e.uri for e in doc.entries] == [BASE + "same"] * 2
         assert [e.metadata.change for e in doc.entries] == [
             ChangeKind.CREATED,
