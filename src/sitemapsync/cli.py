@@ -78,9 +78,7 @@ def _csv(value: str) -> tuple[str, ...]:
 # is a usage error. A flag that overrides a key has the key as its dest.
 CONFIG_KEYS = {
     "source": {"root": Path, "base_uri": str, "digests": _csv, "excludes": _csv, "period": int},
-    "destination": {
-        "apply_deletes": bool, "max_parallel_transfers": int, "stale_wins": bool, "state": Path,
-    },
+    "destination": {"apply_deletes": bool, "max_parallel_transfers": int, "state": Path},
     "simulator": {
         "seed": int, "n_initial": int, "event_rate": float, "p_create": float, "p_update": float,
         "p_delete": float, "body_min": int, "body_max": int, "duration": float,
@@ -137,8 +135,10 @@ def _source_config(args, cfg, root: Path | None = None) -> SourceConfig:
     found = _settings(args, cfg, "source", "root", "base_uri", "digests", "excludes")
     if root is not None:
         found["root"] = root
-    if "root" not in found or "base_uri" not in found:
-        raise ValueError("--root and --base-uri are required (flag or [source] config)")
+    missing = [f"--{key.replace('_', '-')} ([source] {key})"
+               for key in ("root", "base_uri") if key not in found]
+    if missing:
+        raise ValueError("missing " + " and ".join(missing))
     names = {"root": "root_dir", "base_uri": "base_uri", "digests": "digest_algorithms",
              "excludes": "exclude_patterns"}
     config = SourceConfig(**{names[key]: value for key, value in found.items()})
@@ -147,14 +147,12 @@ def _source_config(args, cfg, root: Path | None = None) -> SourceConfig:
 
 
 def _policy(args, cfg) -> SyncPolicy:
-    """Flags over config file; a value failing its cast or ``validate`` is a usage error."""
+    """Flags over config file; a value failing its cast or the policy's check is a usage error."""
     keys = [f.name for f in fields(SyncPolicy)]
     try:
-        policy = SyncPolicy(**_settings(args, cfg, "destination", *keys))
-        policy.validate()
+        return SyncPolicy(**_settings(args, cfg, "destination", *keys))
     except ValueError as exc:
         raise _UsageError(f"bad sync policy: {exc}") from None
-    return policy
 
 
 def _state_path(args, cfg) -> Path:
@@ -362,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max parallel transfers")
         p.add_argument("--no-delete", dest="apply_deletes", action="store_false", default=None,
                        help="keep local files the source no longer lists")
-        p.add_argument("--stale-wins", dest="stale_wins", action="store_true", default=None,
-                       help="apply change entries even when older than the local copy")
 
     p = sub.add_parser("baseline", parents=[common], help="full synchronization from a resource list")
     add_dest_args(p)

@@ -55,15 +55,12 @@ STATE_FORMAT_VERSION = 1
 
 @dataclass
 class SyncPolicy:
-    """Knobs governing how a destination applies source changes."""
+    """Knobs governing how a destination applies source changes; checked when built."""
 
     apply_deletes: bool = True
     max_parallel_transfers: int = 4
-    # When False, a change entry older than the locally recorded lastmod is
-    # skipped (last writer wins); when True the entry is applied anyway.
-    stale_wins: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_parallel_transfers < 1:
             raise ValueError("max_parallel_transfers must be >= 1")
 
@@ -279,7 +276,6 @@ class _Plan:
     deletes: list[tuple[str | None, str, list[ChangeKind]]] = field(default_factory=list)
     # uri -> (local path, lastmod, "algo:hex" if hashed) of copies kept without transfer
     keep: dict[str, tuple[str, datetime, str | None]] = field(default_factory=dict)
-    skipped: int = 0  # change entries not applied
     stale: list[str] = field(default_factory=list)  # downloads replacing a local copy
     unmapped: dict[str, PathMappingError] = field(default_factory=dict)
     root: str | None = None  # URI prefix of the store's paths, None for an empty store
@@ -346,9 +342,10 @@ def _plan_list(
 
 
 def _plan_changes(
-    entries: list[ResourceEntry], modified: datetime, state: DestinationState, policy: SyncPolicy
+    entries: list[ResourceEntry], modified: datetime, state: DestinationState
 ) -> _Plan:
-    """Coalesce each URI's events after ``last_sync`` onto its final one."""
+    """Coalesce each URI's events after ``last_sync`` onto its final one, applied
+    whatever its lastmod: the source serves only a resource's latest bytes."""
     groups: dict[str, list[ResourceEntry]] = {}
     for entry in entries:
         if entry.lastmod > state.last_sync:  # earlier entries are already reflected
@@ -364,15 +361,10 @@ def _plan_changes(
             continue
         final = group[-1]
         kinds = [e.metadata.change for e in group]
-        record = state.records.get(uri)
         if final.metadata.change == ChangeKind.DELETED:
-            if policy.apply_deletes:
-                plan.deletes.append((uri, path, kinds))
-                continue
-        elif record is None or final.lastmod >= record.lastmod or policy.stale_wins:
+            plan.deletes.append((uri, path, kinds))
+        else:
             plan.downloads[uri] = (path, final, final.lastmod, kinds)
-            continue
-        plan.skipped += len(group)  # delete suppressed by policy, or older than the local copy
     return plan
 
 
@@ -383,10 +375,11 @@ def _apply(plan: _Plan, store_dir: Path, state: DestinationState, policy: SyncPo
 
     An unmappable URI raises before anything is touched. Each action counts
     only once it succeeded; ``last_sync`` advances only if nothing failed.
+    Kept copies, and deletions the policy does not apply, count as skipped.
     """
     for exc in plan.unmapped.values():
         raise exc
-    report = SyncReport(skipped=plan.skipped + len(plan.keep))
+    report = SyncReport(skipped=len(plan.keep))
     counted: list[ChangeKind] = []
     for uri, (path, lastmod, digest) in plan.keep.items():
         if digest is None:  # judged without hashing: record a digest of the bytes kept
@@ -394,8 +387,9 @@ def _apply(plan: _Plan, store_dir: Path, state: DestinationState, policy: SyncPo
             digest = f"{DEFAULT_ALGORITHM}:{hexdigest}"
         state.records[uri] = StateRecord(path, lastmod, digest)
     for uri, path, kinds in plan.deletes:
-        if not policy.apply_deletes:  # change plans have already skipped theirs
+        if not policy.apply_deletes:
             logger.warning("extraneous local file or record kept (no-delete policy): %s", path)
+            report.skipped += len(kinds)
             continue
         try:
             (store_dir / path).unlink(missing_ok=True)
@@ -485,7 +479,7 @@ def incremental_sync(
     store_dir = Path(store_dir)
     with _sync_run(store_dir, state, state_path):
         modified, entries = _fetch_entries(changelist_uri, CapabilityKind.CHANGELIST)
-        plan = _plan_changes(entries, modified, state, policy)
+        plan = _plan_changes(entries, modified, state)
         return _apply(plan, store_dir, state, policy)
 
 

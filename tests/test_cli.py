@@ -74,7 +74,7 @@ class TestExitCodes:
         assert rc == 2
         assert "bad_uri" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--parallel", "0"], ["--no-delete"], ["--stale-wins"]])
+    @pytest.mark.parametrize("flags", [["--parallel", "0"], ["--no-delete"]])
     def test_audit_takes_no_policy(self, tmp_path, flags):
         """Audit applies nothing, so a policy flag is a usage error."""
         with pytest.raises(SystemExit) as exc:
@@ -101,6 +101,27 @@ class TestExitCodes:
         assert rc == 64
         assert capsys.readouterr().err.startswith("error: usage: bad sync policy")
         assert not (tmp_path / "s").exists()
+
+    def test_stale_wins_flag_is_gone(self, tmp_path):
+        """Change entries are always applied: no flag asks otherwise."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["baseline", "--source", "http://127.0.0.1:1/rl.xml",
+                     "--store", tmp_path / "s", "--stale-wins"])
+        assert exc.value.code == 64
+
+    @pytest.mark.parametrize("argv, missing, present", [
+        (["changes", "--old", "{tmp}/e1", "--new", "{tmp}/e2"], "--base-uri", "--root"),
+        (["list", "--root", "{tmp}/e1"], "--base-uri", "--root"),
+        (["list", "--base-uri", "http://e.com/"], "--root", "--base-uri"),
+    ])
+    def test_missing_source_setting_is_named_alone(self, tmp_path, capsys, argv, missing, present):
+        for name in ("e1", "e2"):
+            (tmp_path / name).mkdir()
+        rc = run_cli([arg.format(tmp=tmp_path) for arg in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        key = missing.lstrip("-").replace("-", "_")
+        assert f"{missing} ([source] {key})" in err and present not in err
 
 
 class TestListCommand:
@@ -264,10 +285,12 @@ class TestSimulateCommand:
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("line", ["verify_digests = no", "max_parallel_transfer = 0"])
+    @pytest.mark.parametrize(
+        "line", ["verify_digests = no", "max_parallel_transfer = 0", "stale_wins = yes"]
+    )
     def test_unknown_key_is_a_usage_error(self, tmp_path, capsys, line):
         ini = tmp_path / "sync.ini"
-        ini.write_text(f"[destination]\nstale_wins = yes\n{line}\n")
+        ini.write_text(f"[destination]\napply_deletes = yes\n{line}\n")
         rc = run_cli(
             ["baseline", "--config", ini, "--source", "http://127.0.0.1:1/rl.xml",
              "--store", tmp_path / "s"]
@@ -396,6 +419,56 @@ class TestFullPipeline:
 
         # end-to-end oracle: the store is byte-identical to the source tree
         assert_trees_equal(store, web / "res")
+
+    def test_update_to_a_future_dated_file_is_applied(self, tmp_path, http_server, capsys):
+        """A file listed with a lastmod a day ahead is rewritten: the diff dates
+        the update before that lastmod, and sync still downloads it."""
+        web = tmp_path / "web"
+        res, old, store = web / "res", tmp_path / "old", tmp_path / "store"
+        write_tree(res, {"a.txt": b"first", "b.txt": b"steady"})
+        ahead = time.time() + 86_400
+        os.utime(res / "a.txt", (ahead, ahead))
+        shutil.copytree(res, old)
+        handle = http_server(web)
+        res_base = handle.url + "res/"
+        list_argv = ["list", "--root", res, "--base-uri", res_base, "--out", web]
+        store_argv = ["--store", store, "--format", "json"]
+        assert run_cli(list_argv) == 0
+        assert run_cli(["baseline", "--source", handle.url + "resourcelist.xml", *store_argv]) == 0
+        listed = parse_document((web / "resourcelist.xml").read_bytes()).modified
+
+        # after last_sync, before the recorded lastmod, and no wall-clock race
+        (res / "a.txt").write_bytes(b"second")
+        pinned = (listed + timedelta(seconds=60)).timestamp()
+        os.utime(res / "a.txt", (pinned, pinned))
+        rc = run_cli(["changes", "--old", old, "--new", res, "--base-uri", res_base, "--out", web])
+        assert rc == 0
+        assert run_cli(list_argv) == 0
+        capsys.readouterr()
+        rc = run_cli(["sync", "--source", handle.url + "changelist.xml", *store_argv])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["updated"], report["skipped"], report["failed"]) == (1, 0, 0)
+        rc = run_cli(["audit", "--source", handle.url + "resourcelist.xml", *store_argv])
+        assert rc == 0
+        assert_trees_equal(store, res)
+
+    def test_no_delete_baseline_counts_the_kept_stray_file(self, tmp_path, http_server, capsys):
+        web = tmp_path / "web"
+        tree = {"a.txt": b"alpha", "d/b.txt": b"beta"}
+        write_tree(web / "res", tree)
+        write_tree(tmp_path / "store", {**tree, "stray.bin": b"zzz"})
+        handle = http_server(web)
+        rc = run_cli(["list", "--root", web / "res", "--base-uri", handle.url + "res/",
+                      "--out", web])
+        assert rc == 0
+        listed = int(capsys.readouterr().out)
+        rc = run_cli(["baseline", "--source", handle.url + "resourcelist.xml",
+                      "--store", tmp_path / "store", "--no-delete", "--format", "json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["skipped"], report["deleted"]) == (listed + 1, 0)
+        assert (tmp_path / "store" / "stray.bin").exists()
 
     def test_sync_partial_failure_exits_2(self, tmp_path, http_server, capsys):
         from sitemapsync.codec import serialize_document

@@ -73,6 +73,11 @@ def serve_changelist(web: Path, doc: SyncDocument) -> None:
     (web / "changelist.xml").write_bytes(serialize_document(doc))
 
 
+def test_policy_is_checked_when_built():
+    with pytest.raises(ValueError, match="max_parallel_transfers must be >= 1"):
+        SyncPolicy(max_parallel_transfers=0)
+
+
 class TestStatePersistence:
     def test_fresh_path_is_empty_state(self, tmp_path):
         state = load_state(tmp_path / "state.json")
@@ -559,7 +564,9 @@ class TestIncremental:
         assert report.created == 1
         assert (store / "deep/new file.dat").read_bytes() == b"fresh"
 
-    def test_stale_entry_skipped_unless_stale_wins(self, site, tmp_path):
+    def test_newer_dated_record_never_hides_an_update(self, site, tmp_path):
+        """The source serves only the latest bytes, so an entry dated before the
+        recorded lastmod is applied like any other."""
         web, res, handle, res_base, store, state = self._baselined(
             site, tmp_path, {"a.bin": b"current"}
         )
@@ -575,16 +582,7 @@ class TestIncremental:
         )
         serve_changelist(web, doc)
         report = incremental_sync(handle.url + "changelist.xml", store, state)
-        assert report.skipped == 1 and report.updated == 0
-
-        state.last_sync = T0 - timedelta(days=1)
-        report = incremental_sync(
-            handle.url + "changelist.xml",
-            store,
-            state,
-            SyncPolicy(stale_wins=True),
-        )
-        assert report.updated == 1
+        assert (report.updated, report.skipped) == (1, 0)
 
     def test_multiple_events_one_uri_single_download(self, site, tmp_path):
         web, res, handle, res_base, store, state = self._baselined(
